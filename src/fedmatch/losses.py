@@ -264,8 +264,8 @@ def total_loss_and_grads(graph: ModelGraph, x: np.ndarray, y: np.ndarray,
         # The logits site's matching grad folds into the top gradient.
         logits_grad = logits_grad + site_grads.pop(top)
 
-    w_grads, _ = nn.backward(graph, w_local, local_trace, logits_grad,
-                             site_grads=site_grads or None)
+    w_grads = nn.backward(graph, w_local, local_trace, logits_grad,
+                          site_grads=site_grads or None)
 
     wd = 0.0
     if settings.use_wd:

@@ -372,53 +372,110 @@ def relu_backward(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, g, 0.0)
 
 
-def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
-                   stride: int = 1, padding: int = 0) -> np.ndarray:
-    """Cross-correlation of (B, C, H, W) with (O, C, KH, KW) kernels."""
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    kh, kw = w.shape[2], w.shape[3]
-    win = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    # win: (B, C, OH, OW, KH, KW); contract C, KH, KW against the kernel.
-    out = np.tensordot(win, w, axes=([1, 4, 5], [1, 2, 3]))
-    out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
-    if b is not None:
-        out += b[None, :, None, None]
+def _pad_nhwc(x: np.ndarray, padding: int) -> np.ndarray:
+    """(B, C, H, W) -> zero-padded channel-last (B, H+2p, W+2p, C)."""
+    p = padding
+    return np.pad(x.transpose(0, 2, 3, 1), ((0, 0), (p, p), (p, p), (0, 0)))
+
+
+def _patches(xh: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """im2col of padded channel-last `xh`: one row per output position,
+    columns ordered (KH, KW, C).
+
+    With C innermost the window copy moves contiguous runs of C values;
+    (C, KH, KW) columns taken from NCHW move one value at a time.
+    """
+    win = sliding_window_view(xh, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    # win: (B, OH, OW, C, KH, KW)
+    b, oh, ow, c = win.shape[:4]
+    return win.transpose(0, 1, 2, 4, 5, 3).reshape(b * oh * ow, kh * kw * c)
+
+
+def _correlate_nhwc(xh: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
+    """Unpadded cross-correlation of channel-last `xh` (B, HP, WP, C) with
+    (O, C, KH, KW) kernels; returns channel-last (B, OH, OW, O).
+
+    One GEMM, in whichever of two forms has the narrower intermediate:
+
+    * C <= O, gather: patches (B*OH*OW, KH*KW*C) @ kernel^T.
+    * C > O, tap-sum: apply the kernel first, xh (B*HP*WP, C) @
+      (C, KH*KW*O), then add the KH*KW shifted taps onto the output grid.
+
+    The patch matrix is KH*KW*C wide and the tap-sum intermediate KH*KW*O,
+    so the channel counts decide.
+    """
+    o, c, kh, kw = w.shape
+    bsz, hp, wp = xh.shape[:3]
+    oh = (hp - kh) // stride + 1
+    ow = (wp - kw) // stride + 1
+    if c <= o:
+        out = _patches(xh, kh, kw, stride) @ w.transpose(0, 2, 3, 1).reshape(o, -1).T
+        return out.reshape(bsz, oh, ow, o)
+    taps = (xh.reshape(-1, c) @ w.transpose(1, 2, 3, 0).reshape(c, -1)).reshape(
+        bsz, hp, wp, kh, kw, o)
+    out = np.zeros((bsz, oh, ow, o))
+    for u in range(kh):
+        for v in range(kw):
+            out += taps[:, u:u + stride * (oh - 1) + 1:stride,
+                        v:v + stride * (ow - 1) + 1:stride, u, v]
     return out
 
 
-def conv2d_backward(x: np.ndarray, w: np.ndarray, g: np.ndarray,
-                    stride: int = 1, padding: int = 0):
-    """Returns (dw, db, dx) for the conv2d above. g is (B, O, OH, OW)."""
-    b_, c, h, wd = x.shape
-    kh, kw = w.shape[2], w.shape[3]
-    xp = x
-    if padding:
-        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    # dW: contract batch and output positions.
-    dw = np.tensordot(win, g, axes=([0, 2, 3], [0, 2, 3]))  # (C, KH, KW, O)
-    dw = np.ascontiguousarray(dw.transpose(3, 0, 1, 2))
-    db = g.sum(axis=(0, 2, 3))
-    # dX: scatter each kernel tap's contribution back onto the padded grid.
-    oh, ow = g.shape[2], g.shape[3]
-    dxp = np.zeros_like(xp)
-    for u in range(kh):
-        for v in range(kw):
-            contrib = np.tensordot(g, w[:, :, u, v], axes=([1], [0]))  # (B, OH, OW, C)
-            dxp[:, :, u:u + stride * oh:stride, v:v + stride * ow:stride] += \
-                contrib.transpose(0, 3, 1, 2)
-    if padding:
-        dx = dxp[:, :, padding:padding + h, padding:padding + wd]
-    else:
-        dx = dxp
-    return dw, db, dx
+def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
+                   stride: int = 1, padding: int = 0) -> np.ndarray:
+    """Cross-correlation of (B, C, H, W) with (O, C, KH, KW) kernels.
+
+    Runs as one channel-last GEMM (see `_correlate_nhwc`): the gather form
+    when C <= O, the tap-sum form when C > O.  The decoder's transposed
+    convs and the dx of every channel-widening conv narrow the channels,
+    which is where the tap-sum form pays.
+    """
+    if x.shape[1] != w.shape[1]:
+        raise ShapeError(f"conv2d input {x.shape} does not match kernel {w.shape}")
+    out = _correlate_nhwc(_pad_nhwc(x, padding), w, stride)
+    if b is not None:
+        out += b
+    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+
+
+def _conv2d_param_grads(x: np.ndarray, g: np.ndarray, kh: int, kw: int,
+                        stride: int, padding: int):
+    """(dw, db) of conv2d: dw = g^T @ patches, db sums g over batch and space."""
+    o = g.shape[1]
+    gm = g.transpose(0, 2, 3, 1).reshape(-1, o)
+    dw = gm.T @ _patches(_pad_nhwc(x, padding), kh, kw, stride)
+    dw = dw.reshape(o, kh, kw, x.shape[1]).transpose(0, 3, 1, 2)
+    return np.ascontiguousarray(dw), g.sum(axis=(0, 2, 3))
 
 
 def _tconv_as_conv(w: np.ndarray) -> np.ndarray:
     # Swap in/out channels and flip spatially: a stride-1 transposed conv is
-    # an ordinary conv with this kernel and padding (K-1-p).
+    # an ordinary conv with this kernel and padding (K-1-p).  A conv's input
+    # gradient is the transposed conv of g with the conv's own kernel.
     return np.ascontiguousarray(w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
+
+
+def conv2d_backward(x: np.ndarray, w: np.ndarray, g: np.ndarray,
+                    stride: int = 1, padding: int = 0):
+    """Returns (dw, db, dx) for the conv2d above. g is (B, O, OH, OW).
+
+    dw is one GEMM over the forward's patches.  dx is a convolution too:
+    g, placed on every stride-th point of a zero grid padded by K-1, is
+    correlated with the channel-swapped, flipped kernel (the transposed
+    conv).  The grid spans the padded input; only the window that yields
+    the unpadded input's rows and columns is convolved, so one path serves
+    every stride and padding.
+    """
+    bsz, _, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    oh, ow = g.shape[2], g.shape[3]
+    dw, db = _conv2d_param_grads(x, g, kh, kw, stride, padding)
+    grid = np.zeros((bsz, h + 2 * padding + kh - 1, wd + 2 * padding + kw - 1, o))
+    grid[:, kh - 1:kh - 1 + stride * (oh - 1) + 1:stride,
+         kw - 1:kw - 1 + stride * (ow - 1) + 1:stride] = g.transpose(0, 2, 3, 1)
+    grid = grid[:, padding:padding + h + kh - 1, padding:padding + wd + kw - 1]
+    dx = _correlate_nhwc(grid, _tconv_as_conv(w), 1)
+    return dw, db, np.ascontiguousarray(dx.transpose(0, 3, 1, 2))
 
 
 def transposed_conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
@@ -441,11 +498,10 @@ def transposed_conv2d_backward(x: np.ndarray, w: np.ndarray, g: np.ndarray,
     k = w.shape[2]
     if w.shape[3] != k:
         raise ShapeError("transposed_conv2d supports square kernels only")
-    wc = _tconv_as_conv(w)
-    dwc, db, dx = conv2d_backward(x, wc, g, stride=1, padding=k - 1 - padding)
-    # Undo the kernel transform (it is an involution).
-    dw = np.ascontiguousarray(dwc.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
-    return dw, db, dx
+    dwc, db, dx = conv2d_backward(x, _tconv_as_conv(w), g, stride=1,
+                                  padding=k - 1 - padding)
+    # The kernel transform is an involution, so it also maps dwc back.
+    return _tconv_as_conv(dwc), db, dx
 
 
 def maxpool2x2_forward(x: np.ndarray):
@@ -555,17 +611,29 @@ def forward(graph: ModelGraph, params: ParamSet, x: np.ndarray,
     return ForwardTrace(x=x, outputs=tuple(outputs), switches=switches)
 
 
+def _layer0_param_grads(spec: LayerSpec, x: np.ndarray, g: np.ndarray):
+    """(dw, db) of a parameterized first layer, without its input gradient."""
+    if spec.kind == "dense":
+        return x.T @ g, g.sum(axis=0)
+    if spec.kind == "conv2d":
+        return _conv2d_param_grads(x, g, spec.kernel_h, spec.kernel_w,
+                                   spec.stride, spec.padding)
+    k = spec.kernel_h
+    dwc, db = _conv2d_param_grads(x, g, k, k, 1, k - 1 - spec.padding)
+    return _tconv_as_conv(dwc), db
+
+
 def backward(graph: ModelGraph, params: ParamSet, trace: ForwardTrace,
              output_grad: np.ndarray,
              site_grads: dict[int, np.ndarray] | None = None,
-             check_finite: bool = True):
-    """Backprop through the whole graph.
+             check_finite: bool = True) -> ParamSet:
+    """Backprop through the whole graph; returns the parameter gradients.
 
     `output_grad` is dLoss/d(last layer output).  `site_grads` lets callers
     inject extra gradient at interior layer outputs (the matching loss does
-    this); key -1 adds straight to the returned input gradient.
-
-    Returns (param_grads: ParamSet, input_grad: ndarray).
+    this); its keys are layer indices 0 <= k < len(graph.layers).  The
+    network input is never a gradient source, so the input gradient is not
+    computed: layer 0 yields only its parameter gradients.
     """
     if len(trace.outputs) != len(graph.layers):
         raise ShapeError("trace does not match graph layer count")
@@ -574,12 +642,21 @@ def backward(graph: ModelGraph, params: ParamSet, trace: ForwardTrace,
         raise ShapeError(
             f"output_grad shape {g.shape} does not match logits {trace.outputs[-1].shape}")
     site_grads = site_grads or {}
+    bad = sorted(k for k in site_grads if not 0 <= k < len(graph.layers))
+    if bad:
+        raise ShapeError(
+            f"site_grads keys {bad} are not layer indices of a "
+            f"{len(graph.layers)}-layer graph")
     grads: dict[str, np.ndarray] = {}
     for i in range(len(graph.layers) - 1, -1, -1):
         if i in site_grads:
             g = g + site_grads[i]
         spec = graph.layers[i]
-        x_in = trace.x if i == 0 else trace.outputs[i - 1]
+        if i == 0:
+            if spec.has_params:
+                grads["0.w"], grads["0.b"] = _layer0_param_grads(spec, trace.x, g)
+            break
+        x_in = trace.outputs[i - 1]
         if spec.kind == "dense":
             dw, db, g = dense_backward(x_in, params[f"{i}.w"], g)
             grads[f"{i}.w"] = dw
@@ -604,10 +681,8 @@ def backward(graph: ModelGraph, params: ParamSet, trace: ForwardTrace,
             g = unpool2x2_backward(g, trace.switches[spec.pool_layer])
         if check_finite:
             _check_finite(f"layer {i} ({spec.kind}) gradient", g)
-    if -1 in site_grads:
-        g = g + site_grads[-1]
     # Key order must mirror the parameter set so the two zip structurally.
     ordered = {k: grads[k] for k in params if k in grads}
     if len(ordered) != len(grads):
         raise ShapeError("gradient keys do not match parameter keys")
-    return ParamSet(ordered), g
+    return ParamSet(ordered)

@@ -207,7 +207,7 @@ class TestSynthetic:
             idx = rng.choice(ds.n, 64, replace=False)
             trace = nn.forward(graph, params, ds.samples[idx])
             _, grad = cross_entropy(trace.logits, ds.labels[idx])
-            grads, _ = nn.backward(graph, params, trace, grad)
+            grads = nn.backward(graph, params, trace, grad)
             params = nn.sgd_step(params, grads, 0.1)
         trace = nn.forward(graph, params, ds.samples)
         acc = (trace.logits.argmax(1) == ds.labels).mean()

@@ -36,15 +36,28 @@ class TestForwardAgainstReferences:
         got = nn.dense_forward(x, w, b)
         assert np.allclose(got, oracles.dense_ref(x, w, b), atol=1e-12)
 
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 2), (2, 1)])
-    def test_conv2d_matches_loop_reference(self, stride, padding):
-        x = RNG.normal(size=(2, 3, 8, 8))
-        w = RNG.normal(size=(4, 3, 3, 3))
-        b = RNG.normal(size=4)
+    # Kernels are (O, C, KH, KW); C <= O takes the gather form, C > O the
+    # tap-sum form.
+    @pytest.mark.parametrize("stride,padding,w_shape", [
+        (1, 0, (4, 3, 3, 3)), (1, 2, (4, 3, 3, 3)), (2, 1, (4, 3, 3, 3)),
+        (1, 1, (2, 5, 3, 3)), (2, 1, (2, 5, 3, 3)), (2, 2, (2, 5, 3, 2)),
+    ], ids=["1-0", "1-2", "2-1", "1-1-c5o2", "2-1-c5o2", "2-2-c5o2k3x2"])
+    def test_conv2d_matches_loop_reference(self, stride, padding, w_shape):
+        x = RNG.normal(size=(2, w_shape[1], 8, 8))
+        w = RNG.normal(size=w_shape)
+        b = RNG.normal(size=w_shape[0])
         got = nn.conv2d_forward(x, w, b, stride=stride, padding=padding)
         want = oracles.conv2d_ref(x, w, b, stride=stride, padding=padding)
         assert got.shape == want.shape
         assert np.allclose(got, want, atol=1e-12)
+
+    def test_conv2d_rejects_channel_mismatch(self):
+        # 4 input channels against a 2-channel kernel: the sizes divide, so
+        # only an explicit check catches it.
+        x = RNG.normal(size=(1, 4, 5, 5))
+        w = RNG.normal(size=(2, 2, 2, 2))
+        with pytest.raises(ShapeError, match=r"\(1, 4, 5, 5\).*\(2, 2, 2, 2\)"):
+            nn.conv2d_forward(x, w, None)
 
     @pytest.mark.parametrize("padding", [0, 1, 2])
     def test_transposed_conv_matches_scatter_reference(self, padding):
@@ -132,11 +145,14 @@ class TestBackwardAgainstFiniteDifferences:
 
         self._check(fwd, bwd, arrays, ("x", "w", "b"))
 
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 2), (2, 1)])
-    def test_conv2d_backward(self, stride, padding):
-        arrays = {"x": RNG.normal(size=(2, 3, 6, 6)),
-                  "w": RNG.normal(size=(4, 3, 3, 3)),
-                  "b": RNG.normal(size=4)}
+    @pytest.mark.parametrize("stride,padding,w_shape", [
+        (1, 0, (4, 3, 3, 3)), (1, 2, (4, 3, 3, 3)), (2, 1, (4, 3, 3, 3)),
+        (2, 1, (2, 5, 3, 3)), (2, 2, (2, 5, 3, 2)),
+    ], ids=["1-0", "1-2", "2-1", "2-1-c5o2", "2-2-c5o2k3x2"])
+    def test_conv2d_backward(self, stride, padding, w_shape):
+        arrays = {"x": RNG.normal(size=(2, w_shape[1], 6, 6)),
+                  "w": RNG.normal(size=w_shape),
+                  "b": RNG.normal(size=w_shape[0])}
 
         def fwd():
             return nn.conv2d_forward(arrays["x"], arrays["w"], arrays["b"],
@@ -236,24 +252,27 @@ class TestGraphForwardBackward:
             return float((nn.forward(graph, params, x).logits * g_out).sum())
 
         trace = nn.forward(graph, params, x)
-        grads, _ = nn.backward(graph, params, trace, g_out)
+        grads = nn.backward(graph, params, trace, g_out)
         for key in params:
             numeric = oracles.fd_gradient(loss, params[key])
             assert oracles.grad_close(grads[key], numeric), key
 
-    def test_input_gradient_matches_finite_differences(self):
-        graph = self._small_cnn()
+    def test_first_layer_transposed_conv_gradient_matches_finite_differences(self):
+        # Layer 0 yields only parameter gradients, through one branch per
+        # parameterized kind; the other tests start with conv2d or dense.
+        graph = ModelGraph((2, 5, 5), (transposed_conv2d(2, 3, 3, padding=1), relu(),
+                                       flatten(), dense(3 * 5 * 5, 4)))
         params = nn.init_params(graph, np.random.default_rng(2))
-        x = RNG.normal(size=(2, 2, 8, 8))
+        x = RNG.normal(size=(2, 2, 5, 5))
         g_out = RNG.normal(size=(2, 4))
-        trace = nn.forward(graph, params, x)
-        _, dx = nn.backward(graph, params, trace, g_out)
 
         def loss():
             return float((nn.forward(graph, params, x).logits * g_out).sum())
 
-        numeric = oracles.fd_gradient(loss, x)
-        assert oracles.grad_close(dx, numeric)
+        grads = nn.backward(graph, params, nn.forward(graph, params, x), g_out)
+        for key in params:
+            numeric = oracles.fd_gradient(loss, params[key])
+            assert oracles.grad_close(grads[key], numeric), key
 
     def test_site_grad_injection_adds_to_interior_gradient(self):
         graph = ModelGraph((4,), (dense(4, 3), relu(), dense(3, 2)))
@@ -267,10 +286,19 @@ class TestGraphForwardBackward:
             t = nn.forward(graph, params, x)
             return float((t.outputs[1] * inject).sum())
 
-        grads, _ = nn.backward(graph, params, trace, g_out, site_grads={1: inject})
+        grads = nn.backward(graph, params, trace, g_out, site_grads={1: inject})
         for key in params:
             numeric = oracles.fd_gradient(loss, params[key])
             assert oracles.grad_close(grads[key], numeric), key
+
+    @pytest.mark.parametrize("key", [-1, 3, 7])
+    def test_backward_rejects_site_grads_outside_the_graph(self, key):
+        graph = ModelGraph((4,), (dense(4, 3), relu(), dense(3, 2)))
+        params = nn.init_params(graph, np.random.default_rng(3))
+        trace = nn.forward(graph, params, RNG.normal(size=(2, 4)))
+        with pytest.raises(ShapeError, match=rf"\[{key}\]"):
+            nn.backward(graph, params, trace, np.zeros((2, 2)),
+                        site_grads={key: np.ones((2, 4))})
 
     def test_in_graph_unpool_uses_own_switches(self):
         graph = ModelGraph(
