@@ -1,8 +1,15 @@
 """Strict config parsing, validation messages, and hashing."""
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
-from fedmatch.config import ConfigError, config_hash, from_dict, parse_config, to_dict
+from fedmatch.config import (ConfigError, ExperimentConfig, config_hash, from_dict,
+                             parse_config, to_dict)
+from fedmatch.federation import run_experiment
+from fedmatch.metrics import MetricsSink
 
 MINIMAL = {"task": "synthetic", "seed": 1}
 
@@ -216,3 +223,162 @@ class TestHash:
         a = parse()
         b = parse({"n_clients": 10, "batch_size": 64})
         assert config_hash(a) == config_hash(b)
+
+
+# ---------------------------------------------------------------------------
+# Golden pins: the config echo, its hash and the run records must stay
+# byte-stable, since results are grouped by config_hash and compared
+# through rounds.jsonl.
+
+README_QUICK_START = {
+    "task": "synthetic",
+    "seed": 0,
+    "rounds": 20,
+    "n_clients": 4,
+    "partition": "non_iid",
+    "use_tuner": True,
+    "batch_size": 32,
+    "validation_size": 40,
+    "eval_every": 5,
+    "synthetic": {"classes": 4, "per_class": 50, "test_per_class": 20},
+    "tuner": {"axes": [
+        {"name": "learning_rate", "values": [0.01, 0.02, 0.05]},
+        {"name": "sgd_iterations", "values": [5, 10], "integer": True},
+    ]},
+}
+
+GOLDEN_CONFIGS = {
+    "minimal": MINIMAL,
+    "readme_quick_start": README_QUICK_START,
+    "cifar_matching": {"task": "cifar10", "seed": 3, "data_dir": "data/cifar",
+                       "use_matching": True,
+                       "loss": {"match_input_site": False},
+                       "train_subset": 500},
+    "kws_wd": {"task": "kws", "seed": 4, "data_dir": "data/kws", "use_wd": True,
+               "aggregation": "renormalized",
+               "schedule": {"initial_lr": 0.05, "iterations": 12},
+               "train_subset": None},
+    "mnist_tuned": {"task": "mnist", "seed": 5, "data_dir": "data/mnist",
+                    "use_tuner": True, "output_dir": "runs/mnist-tuned",
+                    "parallel_clients": 2},
+}
+
+# name -> (config_hash, sha256 of the config.json text without its newline)
+GOLDEN_ECHO = {
+    "minimal": ("01b829e1132e",
+                "d70aa5f022c33131e28f968657b480f4c98397e7386f2cf00a09ce4dc8e114de"),
+    "readme_quick_start": ("94f009f1bd9d",
+                           "fbcf58ac212cdca5a04e0f240656214569e5ee4eeb4671f27fee79a6500c9427"),
+    "cifar_matching": ("3b68b869a0e5",
+                       "0b136aa40f064371845a7837bd467a8c946b04c0af4d4176cec13bd19e75661e"),
+    "kws_wd": ("ca4587aa9bb1",
+               "bc9a7db61b6eb8a8ecda5adc903f19c9c496e0b41070b6da386c69a0ef1bbe3d"),
+    "mnist_tuned": ("f1e2904f3cb7",
+                    "b0663b8890a9e30a175304755ad20da52ce64e03a240aee3f41a74eaa4f43dea"),
+}
+
+RUN_BASE = {
+    "task": "synthetic", "seed": 5, "partition": "non_iid", "n_clients": 4,
+    "rounds": 4, "batch_size": 16, "validation_size": 20, "eval_every": 2,
+    "schedule": {"initial_lr": 0.05, "iterations": 3},
+    "synthetic": {"classes": 4, "per_class": 30, "test_per_class": 10},
+}
+
+RUN_VARIANTS = {
+    "tuned_matching": {"use_tuner": True, "use_matching": True,
+                       "loss": {"matching_coeff": 0.1},
+                       "tuner": {"axes": [
+                           {"name": "learning_rate", "values": [0.01, 0.05]},
+                           {"name": "sgd_iterations", "values": [2, 3]}]}},
+    "wd": {"use_wd": True},
+    "fixed": {},
+}
+
+# name -> (sha256 of rounds.jsonl, sha256 of evals.jsonl); recorded with
+# numpy + OpenBLAS on x86-64 in float64.  A BLAS that rounds differently
+# changes these digests without any change to the program.
+GOLDEN_RUNS = {
+    "tuned_matching": ("1711672a8b8a98db73f4617abc269100f9eded2ec19fdbc4f702bce1393b99ba",
+                       "771485146e300cc19249f68fd69a5b8a91193a94f083e7703a07a74b80e8e1dc"),
+    "wd": ("7b3577965a100c2c84ad7b9018d2de2db9f71ad8562cce60039c0f3f95f51862",
+           "c1bfa85e9d086cec4cc5c6dbacc9ab1629085e04a214d7d037e022027a7dd92e"),
+    "fixed": ("9711fc700c366791a40b581d2a27bd15d35e16a5cd6a241ce57fc23788f3a068",
+              "c1bfa85e9d086cec4cc5c6dbacc9ab1629085e04a214d7d037e022027a7dd92e"),
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestGolden:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+    def test_config_echo_and_hash_are_pinned(self, name):
+        cfg = from_dict(GOLDEN_CONFIGS[name])
+        echo = json.dumps(to_dict(cfg), indent=2, sort_keys=True)
+        assert (config_hash(cfg), _sha256(echo.encode())) == GOLDEN_ECHO[name]
+
+    @pytest.mark.parametrize("name", sorted(RUN_VARIANTS))
+    def test_run_records_are_pinned(self, name, tmp_path):
+        cfg = from_dict({**RUN_BASE, **RUN_VARIANTS[name]})
+        with MetricsSink(tmp_path) as sink:
+            run_experiment(cfg, sink=sink)
+        digests = (_sha256((tmp_path / "rounds.jsonl").read_bytes()),
+                   _sha256((tmp_path / "evals.jsonl").read_bytes()))
+        assert digests == GOLDEN_RUNS[name]
+
+
+def _non_default(f, current):
+    """A valid value for field `f` that differs from `current`."""
+    special = {
+        "task": "kws", "partition": "non_iid", "aggregation": "renormalized",
+        "update_sign": "descent", "output_dir": "elsewhere",
+        "data_dir": "data", "train_subset": 500, "classes": 4,
+    }
+    if f.name in special:
+        return special[f.name]
+    if isinstance(current, bool):
+        return not current
+    if isinstance(current, int):
+        return current + 1
+    return current / 2
+
+
+def _scalar_fields():
+    sections = [f.name for f in dataclasses.fields(ExperimentConfig)
+                if dataclasses.is_dataclass(f.default_factory)]
+    out = []
+    for f in dataclasses.fields(ExperimentConfig):
+        if f.name not in sections:
+            out.append(pytest.param("", f, id=f.name))
+    for section in sections:
+        cls = type(getattr(from_dict(MINIMAL), section))
+        for f in dataclasses.fields(cls):
+            if f.name == "axes":
+                continue  # not a scalar; the tuner tests round-trip it
+            if f.name == "input_dim":
+                continue  # pinned to 784: there is no valid other value
+            out.append(pytest.param(section, f, id=f"{section}.{f.name}"))
+    return out
+
+
+@pytest.mark.parametrize("section,f", _scalar_fields())
+def test_every_scalar_field_round_trips(section, f):
+    echoed = to_dict(from_dict(MINIMAL))
+    current = echoed[section][f.name] if section else echoed[f.name]
+    value = _non_default(f, current)
+    assert value != current
+    raw = dict(MINIMAL)
+    if section:
+        raw[section] = {f.name: value}
+    else:
+        raw[f.name] = value
+    if f.name == "task":
+        raw["data_dir"] = "data"
+    if f.name == "partition":
+        raw["n_clients"] = 10
+    cfg = from_dict(raw)
+    again = from_dict(to_dict(cfg))
+    holder = getattr(again, section) if section else again
+    assert getattr(holder, f.name) == value
+    assert to_dict(again) == to_dict(cfg)
