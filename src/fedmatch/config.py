@@ -1,8 +1,10 @@
 """Experiment configuration: strict JSON in, fully-defaulted dataclass out.
 
-Unknown keys are rejected (typos must not silently fall back to defaults),
-every field is type- and range-checked with the offending field named in
-the error, and the materialized config can be echoed back to JSON so a run
+The frozen dataclasses below are the schema: the parser takes the allowed
+keys, the required keys and each value's type from their fields.  Unknown
+keys are rejected (typos must not silently fall back to defaults), every
+field is type- and range-checked with the offending field named in the
+error, and the materialized config can be echoed back to JSON so a run
 directory records exactly what produced it.
 """
 
@@ -10,8 +12,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from .losses import LossSettings
 from .models import arch_for_task
@@ -67,7 +72,7 @@ class SyntheticConfig:
 class ExperimentConfig:
     task: str
     seed: int
-    output_dir: str
+    output_dir: str = ""  # from_dict fills in runs/<task>-seed<seed>
     data_dir: str | None = None
     partition: str = "iid"
     use_tuner: bool = False
@@ -108,201 +113,141 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# Parsing helpers
+# Parsing: the dataclasses above are the schema
 
 
-def _expect_keys(section: str, d: dict, allowed: set[str]) -> None:
-    unknown = set(d) - allowed
-    if unknown:
-        where = f" in section {section!r}" if section else ""
-        raise ConfigError(f"unknown key {sorted(unknown)[0]!r}{where}")
+IDENTITY_KEYS = ("seed", "output_dir", "data_dir")
 
 
-def _get(d: dict, key: str, kind, default, section: str = ""):
-    if key not in d:
-        if default is _REQUIRED:
-            where = f" in section {section!r}" if section else ""
-            raise ConfigError(f"missing required key {key!r}{where}")
-        return default
-    v = d[key]
-    label = f"{section}.{key}" if section else key
-    if kind is bool:
-        if not isinstance(v, bool):
-            raise ConfigError(f"{label} must be a boolean, got {v!r}")
-        return v
-    if kind is int:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ConfigError(f"{label} must be an integer, got {v!r}")
-        return v
-    if kind is float:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{label} must be a number, got {v!r}")
-        return float(v)
-    if kind is str:
-        if not isinstance(v, str):
-            raise ConfigError(f"{label} must be a string, got {v!r}")
-        return v
-    if kind is dict:
+def strip_identity(d: dict) -> dict:
+    """A config dict without the keys that name a run rather than an experiment."""
+    return {k: v for k, v in d.items() if k not in IDENTITY_KEYS}
+
+
+_KIND_NAMES = {bool: "a boolean", int: "an integer", str: "a string"}
+
+
+def _number(v, label: str) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"{label} must be a number, got {v!r}")
+    try:
+        v = float(v)
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf
+    if not math.isfinite(v):
+        raise ConfigError(f"{label} must be a finite number, got {v!r}")
+    return v
+
+
+def _value(kind, v, label: str):
+    """Check one JSON value against a field's type and return it typed."""
+    if is_dataclass(kind):
         if not isinstance(v, dict):
             raise ConfigError(f"{label} must be an object, got {v!r}")
-        return v
-    raise AssertionError(f"unhandled kind {kind}")
+        return _parse_section(kind, v, label)
+    if isinstance(kind, UnionType):  # `X | None`
+        kind = get_args(kind)[0]
+        if get_origin(kind) is tuple:  # tuner.axes, where null is no grid
+            return _parse_axes(v, label)
+        if v is None:
+            return None
+    if kind is float:
+        return _number(v, label)
+    if not isinstance(v, kind) or (isinstance(v, bool) and kind is not bool):
+        raise ConfigError(f"{label} must be {_KIND_NAMES[kind]}, got {v!r}")
+    return v
 
 
-_REQUIRED = object()
+def _parse_section(cls, d: dict, section: str = ""):
+    """Build `cls` from `d`: keys, required keys and types come from its fields."""
+    where = f" in section {section!r}" if section else ""
+    fields_ = fields(cls)
+    unknown = set(d) - {f.name for f in fields_}
+    if unknown:
+        raise ConfigError(f"unknown key {sorted(unknown)[0]!r}{where}")
+    kinds = get_type_hints(cls)
+    values = {}
+    for f in fields_:
+        if f.name in d:
+            label = f"{section}.{f.name}" if section else f.name
+            values[f.name] = _value(kinds[f.name], d[f.name], label)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing required key {f.name!r}{where}")
+    return cls(**values)
 
 
-def _parse_axes(raw, section: str) -> tuple[HyperAxis, ...]:
+def _parse_axes(raw, label: str) -> tuple[HyperAxis, ...]:
     if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"{section}.axes must be a non-empty list")
+        raise ConfigError(f"{label} must be a non-empty list")
     axes = []
     for i, entry in enumerate(raw):
+        where = f"{label}[{i}]"
         if not isinstance(entry, dict):
-            raise ConfigError(f"{section}.axes[{i}] must be an object")
-        _expect_keys(f"{section}.axes[{i}]", entry, {"name", "values", "integer"})
-        name = _get(entry, "name", str, _REQUIRED, f"{section}.axes[{i}]")
+            raise ConfigError(f"{where} must be an object")
+        unknown = set(entry) - {"name", "values", "integer"}
+        if unknown:
+            raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in section {where!r}")
+        if "name" not in entry:
+            raise ConfigError(f"missing required key 'name' in section {where!r}")
+        name = _value(str, entry["name"], f"{where}.name")
         values = entry.get("values")
         if (not isinstance(values, list) or not values
                 or any(isinstance(v, bool) or not isinstance(v, (int, float))
                        for v in values)):
-            raise ConfigError(f"{section}.axes[{i}].values must be a list of numbers")
-        integer = entry.get("integer", all(float(v) == int(v) for v in values))
+            raise ConfigError(f"{where}.values must be a list of numbers")
+        values = tuple(_number(v, f"{where}.values") for v in values)
+        integer = entry.get("integer", all(v == int(v) for v in values))
         if not isinstance(integer, bool):
-            raise ConfigError(f"{section}.axes[{i}].integer must be a boolean")
+            raise ConfigError(f"{where}.integer must be a boolean")
         try:
-            axes.append(HyperAxis(name, tuple(float(v) for v in values), integer))
+            axes.append(HyperAxis(name, values, integer))
         except ValueError as e:
-            raise ConfigError(f"{section}.axes[{i}]: {e}") from e
+            raise ConfigError(f"{where}: {e}") from e
     return tuple(axes)
-
-
-def _parse_tuner(d: dict) -> TunerConfig:
-    _expect_keys("tuner", d, {"axes", "window", "hyper_lr", "init_std",
-                              "freeze_precision", "update_sign"})
-    axes = _parse_axes(d["axes"], "tuner") if "axes" in d else None
-    cfg = TunerConfig(
-        axes=axes,
-        window=_get(d, "window", int, 10, "tuner"),
-        hyper_lr=_get(d, "hyper_lr", float, 0.1, "tuner"),
-        init_std=_get(d, "init_std", float, 0.2, "tuner"),
-        freeze_precision=_get(d, "freeze_precision", bool, False, "tuner"),
-        update_sign=_get(d, "update_sign", str, "ascent", "tuner"),
-    )
-    if cfg.window < 0:
-        raise ConfigError("tuner.window must be non-negative")
-    if cfg.hyper_lr < 0:
-        raise ConfigError("tuner.hyper_lr must be non-negative")
-    if cfg.init_std <= 0:
-        raise ConfigError("tuner.init_std must be positive")
-    if cfg.update_sign not in UPDATE_SIGNS:
-        raise ConfigError(f"tuner.update_sign must be one of {UPDATE_SIGNS}")
-    return cfg
-
-
-def _parse_schedule(d: dict) -> ScheduleConfig:
-    _expect_keys("schedule", d, {"initial_lr", "iterations"})
-    cfg = ScheduleConfig(
-        initial_lr=_get(d, "initial_lr", float, 0.1, "schedule"),
-        iterations=_get(d, "iterations", int, 30, "schedule"),
-    )
-    if cfg.initial_lr <= 0:
-        raise ConfigError("schedule.initial_lr must be positive")
-    if cfg.iterations < 1:
-        raise ConfigError("schedule.iterations must be at least 1")
-    return cfg
-
-
-def _parse_loss(d: dict) -> LossConfig:
-    _expect_keys("loss", d, {"matching_coeff", "wd_coeff", "min_entropy",
-                             "use_er", "match_input_site"})
-    cfg = LossConfig(
-        matching_coeff=_get(d, "matching_coeff", float, 1.0, "loss"),
-        wd_coeff=_get(d, "wd_coeff", float, 0.1, "loss"),
-        min_entropy=_get(d, "min_entropy", float, 0.5, "loss"),
-        use_er=_get(d, "use_er", bool, True, "loss"),
-        match_input_site=_get(d, "match_input_site", bool, True, "loss"),
-    )
-    if cfg.matching_coeff < 0 or cfg.wd_coeff < 0 or cfg.min_entropy < 0:
-        raise ConfigError("loss coefficients must be non-negative")
-    return cfg
-
-
-def _parse_synthetic(d: dict) -> SyntheticConfig:
-    _expect_keys("synthetic", d, {"classes", "per_class", "test_per_class",
-                                  "input_dim", "spread"})
-    cfg = SyntheticConfig(
-        classes=_get(d, "classes", int, 10, "synthetic"),
-        per_class=_get(d, "per_class", int, 200, "synthetic"),
-        test_per_class=_get(d, "test_per_class", int, 50, "synthetic"),
-        input_dim=_get(d, "input_dim", int, 784, "synthetic"),
-        spread=_get(d, "spread", float, 1.0, "synthetic"),
-    )
-    if not 2 <= cfg.classes <= 10:
-        raise ConfigError("synthetic.classes must be between 2 and 10")
-    if cfg.per_class < 1 or cfg.test_per_class < 1:
-        raise ConfigError("synthetic per-class counts must be positive")
-    if cfg.input_dim != 784:
-        raise ConfigError("synthetic.input_dim must be 784 to fit the mlp")
-    if cfg.spread <= 0:
-        raise ConfigError("synthetic.spread must be positive")
-    return cfg
-
-
-TOP_KEYS = {
-    "task", "seed", "output_dir", "data_dir", "partition", "use_tuner",
-    "use_matching", "use_wd", "aggregation", "n_clients", "client_fraction",
-    "rounds", "batch_size", "validation_size", "eval_every", "train_subset",
-    "parallel_clients", "loss", "tuner", "schedule", "synthetic",
-}
 
 
 def from_dict(d: dict) -> ExperimentConfig:
     """Validate a raw JSON object and fill in every default."""
     if not isinstance(d, dict):
         raise ConfigError("config root must be a JSON object")
-    _expect_keys("", d, TOP_KEYS)
-    task = _get(d, "task", str, _REQUIRED)
-    if task not in TASKS:
-        raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
-    seed = _get(d, "seed", int, _REQUIRED)
-    if seed < 0:
-        raise ConfigError("seed must be non-negative")
-    output_dir = _get(d, "output_dir", str, f"runs/{task}-seed{seed}")
-    if not output_dir:
-        raise ConfigError("output_dir must be non-empty")
-
-    train_subset = None
-    if d.get("train_subset") is not None:
-        train_subset = _get(d, "train_subset", int, None)
-
-    cfg = ExperimentConfig(
-        task=task,
-        seed=seed,
-        output_dir=output_dir,
-        data_dir=_get(d, "data_dir", str, None) if d.get("data_dir") is not None else None,
-        partition=_get(d, "partition", str, "iid"),
-        use_tuner=_get(d, "use_tuner", bool, False),
-        use_matching=_get(d, "use_matching", bool, False),
-        use_wd=_get(d, "use_wd", bool, False),
-        aggregation=_get(d, "aggregation", str, "literal"),
-        n_clients=_get(d, "n_clients", int, 10),
-        client_fraction=_get(d, "client_fraction", float, 1.0),
-        rounds=_get(d, "rounds", int, 200),
-        batch_size=_get(d, "batch_size", int, 64),
-        validation_size=_get(d, "validation_size", int, 1000),
-        eval_every=_get(d, "eval_every", int, 10),
-        train_subset=train_subset,
-        parallel_clients=_get(d, "parallel_clients", int, 1),
-        loss=_parse_loss(_get(d, "loss", dict, {}, "")),
-        tuner=_parse_tuner(_get(d, "tuner", dict, {}, "")),
-        schedule=_parse_schedule(_get(d, "schedule", dict, {}, "")),
-        synthetic=_parse_synthetic(_get(d, "synthetic", dict, {}, "")),
-    )
+    cfg = _parse_section(ExperimentConfig, d)
+    if "output_dir" not in d:
+        cfg = replace(cfg, output_dir=f"runs/{cfg.task}-seed{cfg.seed}")
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: ExperimentConfig) -> None:
+    """Range and cross-field checks; the types are already checked."""
+    if cfg.task not in TASKS:
+        raise ConfigError(f"task must be one of {TASKS}, got {cfg.task!r}")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be non-negative")
+    if not cfg.output_dir:
+        raise ConfigError("output_dir must be non-empty")
+    loss, tuner, schedule, synthetic = cfg.loss, cfg.tuner, cfg.schedule, cfg.synthetic
+    if loss.matching_coeff < 0 or loss.wd_coeff < 0 or loss.min_entropy < 0:
+        raise ConfigError("loss coefficients must be non-negative")
+    if tuner.window < 0:
+        raise ConfigError("tuner.window must be non-negative")
+    if tuner.hyper_lr < 0:
+        raise ConfigError("tuner.hyper_lr must be non-negative")
+    if tuner.init_std <= 0:
+        raise ConfigError("tuner.init_std must be positive")
+    if tuner.update_sign not in UPDATE_SIGNS:
+        raise ConfigError(f"tuner.update_sign must be one of {UPDATE_SIGNS}")
+    if schedule.initial_lr <= 0:
+        raise ConfigError("schedule.initial_lr must be positive")
+    if schedule.iterations < 1:
+        raise ConfigError("schedule.iterations must be at least 1")
+    if not 2 <= synthetic.classes <= 10:
+        raise ConfigError("synthetic.classes must be between 2 and 10")
+    if synthetic.per_class < 1 or synthetic.test_per_class < 1:
+        raise ConfigError("synthetic per-class counts must be positive")
+    if synthetic.input_dim != 784:
+        raise ConfigError("synthetic.input_dim must be 784 to fit the mlp")
+    if synthetic.spread <= 0:
+        raise ConfigError("synthetic.spread must be positive")
     if cfg.partition not in PARTITIONS:
         raise ConfigError(f"partition must be one of {PARTITIONS}")
     if cfg.aggregation not in AGGREGATIONS:
@@ -367,53 +312,10 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
 def to_dict(cfg: ExperimentConfig) -> dict:
     """Full materialized config as a JSON-ready dict (defaults included)."""
-    grid = cfg.hyper_grid()
-    return {
-        "task": cfg.task,
-        "seed": cfg.seed,
-        "output_dir": cfg.output_dir,
-        "data_dir": cfg.data_dir,
-        "partition": cfg.partition,
-        "use_tuner": cfg.use_tuner,
-        "use_matching": cfg.use_matching,
-        "use_wd": cfg.use_wd,
-        "aggregation": cfg.aggregation,
-        "n_clients": cfg.n_clients,
-        "client_fraction": cfg.client_fraction,
-        "rounds": cfg.rounds,
-        "batch_size": cfg.batch_size,
-        "validation_size": cfg.validation_size,
-        "eval_every": cfg.eval_every,
-        "train_subset": cfg.train_subset,
-        "parallel_clients": cfg.parallel_clients,
-        "loss": {
-            "matching_coeff": cfg.loss.matching_coeff,
-            "wd_coeff": cfg.loss.wd_coeff,
-            "min_entropy": cfg.loss.min_entropy,
-            "use_er": cfg.loss.use_er,
-            "match_input_site": cfg.loss.match_input_site,
-        },
-        "tuner": {
-            "axes": [{"name": a.name, "values": list(a.values), "integer": a.integer}
-                     for a in grid.axes],
-            "window": cfg.tuner.window,
-            "hyper_lr": cfg.tuner.hyper_lr,
-            "init_std": cfg.tuner.init_std,
-            "freeze_precision": cfg.tuner.freeze_precision,
-            "update_sign": cfg.tuner.update_sign,
-        },
-        "schedule": {
-            "initial_lr": cfg.schedule.initial_lr,
-            "iterations": cfg.schedule.iterations,
-        },
-        "synthetic": {
-            "classes": cfg.synthetic.classes,
-            "per_class": cfg.synthetic.per_class,
-            "test_per_class": cfg.synthetic.test_per_class,
-            "input_dim": cfg.synthetic.input_dim,
-            "spread": cfg.synthetic.spread,
-        },
-    }
+    d = asdict(cfg)
+    d["tuner"]["axes"] = [{**asdict(a), "values": list(a.values)}
+                          for a in cfg.hyper_grid().axes]
+    return d
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -422,8 +324,6 @@ def config_hash(cfg: ExperimentConfig) -> str:
     Runs that differ only in seed (or where their outputs land) share a
     hash, which is how result tables group repeats.
     """
-    d = to_dict(cfg)
-    for k in ("seed", "output_dir", "data_dir"):
-        d.pop(k, None)
-    blob = json.dumps(d, sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(strip_identity(to_dict(cfg)), sort_keys=True,
+                      separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:12]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -328,13 +328,7 @@ def run_round(server: ServerState, clients: list[ClientState],
     server.round = t
 
     client_losses = tuple(
-        {"client": r.client_id,
-         "cross_entropy": r.losses.cross_entropy,
-         "matching": r.losses.matching,
-         "er": r.losses.er,
-         "wd": r.losses.wd,
-         "total": r.losses.total,
-         "short_batch": r.short_batch}
+        {"client": r.client_id, **asdict(r.losses), "short_batch": r.short_batch}
         for r in results)
     return RoundRecord(
         round=t,

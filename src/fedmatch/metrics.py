@@ -17,8 +17,10 @@ from __future__ import annotations
 import csv
 import json
 import statistics
+from dataclasses import asdict
 from pathlib import Path
 
+from .config import strip_identity
 from .federation import EvalRecord, RoundRecord
 
 SCHEMA_VERSION = 1
@@ -26,28 +28,13 @@ SCHEMA_VERSION = 1
 
 def round_to_dict(rec: RoundRecord) -> dict:
     """Serializable view of a round record (wall time deliberately omitted)."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "round": rec.round,
-        "selected": list(rec.selected),
-        "lr": rec.lr,
-        "iterations": rec.iterations,
-        "h_norm": list(rec.h_norm) if rec.h_norm is not None else None,
-        "mu_norm": list(rec.mu_norm) if rec.mu_norm is not None else None,
-        "mu_raw": rec.mu_raw,
-        "loss_before": rec.loss_before,
-        "loss_after": rec.loss_after,
-        "reward": rec.reward,
-        "client_losses": list(rec.client_losses),
-    }
+    d = asdict(rec)
+    del d["wall_time_sec"]
+    return {"schema_version": SCHEMA_VERSION, **d}
 
 
 def eval_to_dict(rec: EvalRecord) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "round": rec.round,
-        "test_accuracy": rec.test_accuracy,
-    }
+    return {"schema_version": SCHEMA_VERSION, **asdict(rec)}
 
 
 class MetricsSink:
@@ -147,13 +134,6 @@ def export_trajectory(run_dir: str | Path, out_path: str | Path | None = None) -
 # Result tables
 
 
-def _strip_identity(config: dict) -> dict:
-    d = dict(config)
-    for k in ("seed", "output_dir", "data_dir"):
-        d.pop(k, None)
-    return d
-
-
 def build_table(run_dirs: list[str | Path]) -> list[dict]:
     """Group runs by config (ignoring seed) and aggregate final accuracy.
 
@@ -168,7 +148,7 @@ def build_table(run_dirs: list[str | Path]) -> list[dict]:
         run = read_run(rd)
         if run["summary"] is None:
             raise FileNotFoundError(f"{rd} has no summary.json (run incomplete?)")
-        stripped = _strip_identity(run["config"])
+        stripped = strip_identity(run["config"])
         key = json.dumps(stripped, sort_keys=True)
         g = groups.setdefault(key, {"config": stripped, "accuracies": [],
                                     "seeds": [], "dirs": []})

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -382,3 +383,52 @@ def test_every_scalar_field_round_trips(section, f):
     holder = getattr(again, section) if section else again
     assert getattr(holder, f.name) == value
     assert to_dict(again) == to_dict(cfg)
+
+
+# json.loads accepts NaN and Infinity, so the parser must reject them.
+NON_FINITE = [
+    ('{"schedule": {"initial_lr": NaN}}', "schedule.initial_lr", "nan"),
+    ('{"loss": {"matching_coeff": NaN}}', "loss.matching_coeff", "nan"),
+    ('{"tuner": {"init_std": NaN}}', "tuner.init_std", "nan"),
+    ('{"tuner": {"hyper_lr": Infinity}}', "tuner.hyper_lr", "inf"),
+    ('{"synthetic": {"spread": Infinity}}', "synthetic.spread", "inf"),
+    ('{"loss": {"min_entropy": -Infinity}}', "loss.min_entropy", "-inf"),
+    ('{"schedule": {"initial_lr": 1e400}}', "schedule.initial_lr", "inf"),
+    ('{"loss": {"wd_coeff": 1%s}}' % ("0" * 400), "loss.wd_coeff", "inf"),
+    ('{"tuner": {"axes": [{"name": "learning_rate", "values": [0.1, Infinity]},'
+     ' {"name": "sgd_iterations", "values": [1, 2]}]}}',
+     "tuner.axes[0].values", "inf"),
+    ('{"tuner": {"axes": [{"name": "learning_rate", "values": [0.1]},'
+     ' {"name": "sgd_iterations", "values": [NaN]}]}}',
+     "tuner.axes[1].values", "nan"),
+]
+
+
+@pytest.mark.parametrize("text,label,shown", NON_FINITE,
+                         ids=[f"{label}={shown}" for _, label, shown in NON_FINITE])
+def test_non_finite_numbers_are_rejected(text, label, shown):
+    with pytest.raises(ConfigError) as err:
+        parse(json.loads(text))
+    assert str(err.value) == f"{label} must be a finite number, got {shown}"
+
+
+def _readme_config_reference() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Configuration reference", 1)[1]
+    return section.split("\n## ", 1)[0]
+
+
+def _documented_fields():
+    classes = [ExperimentConfig] + [
+        f.default_factory for f in dataclasses.fields(ExperimentConfig)
+        if dataclasses.is_dataclass(f.default_factory)]
+    return [pytest.param(f, id=f"{cls.__name__}.{f.name}")
+            for cls in classes for f in dataclasses.fields(cls)]
+
+
+@pytest.mark.parametrize("f", _documented_fields())
+def test_readme_documents_every_config_field(f):
+    reference = _readme_config_reference()
+    assert f"`{f.name}`" in reference
+    if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+        assert f"| `{f.name}` | required |" in reference
