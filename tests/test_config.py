@@ -5,12 +5,16 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from fedmatch import nn
 from fedmatch.config import (ConfigError, ExperimentConfig, config_hash, from_dict,
                              parse_config, to_dict)
 from fedmatch.federation import run_experiment
+from fedmatch.losses import LossSettings, total_loss_and_grads
 from fedmatch.metrics import MetricsSink
+from fedmatch.models import build_arch, build_matching_decoder
 
 MINIMAL = {"task": "synthetic", "seed": 1}
 
@@ -307,6 +311,15 @@ GOLDEN_RUNS = {
               "c1bfa85e9d086cec4cc5c6dbacc9ab1629085e04a214d7d037e022027a7dd92e"),
 }
 
+# arch -> sha256 of repr(breakdown) plus every w and theta gradient from one
+# matching `total_loss_and_grads` call.  These pin the dense, transposed-conv,
+# unpool and reshape decoder stages; same BLAS caveat as GOLDEN_RUNS.
+GOLDEN_MATCHING = {
+    "cifar_cnn": "0c9112126c74c53882b8afff69e83461e30f6f135afeeb63bea846fe5a151415",
+    "kws_cnn": "a49a2edcc611ddf043d1d127c6fd0b514aec7942efa737ca71efc778923ed692",
+    "mnist_mlp": "0cbbb55bb44d2726a2e1ab95a521456edbc959a0cd5d86a12b87dcb2f08a6e7f",
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -327,6 +340,25 @@ class TestGolden:
         digests = (_sha256((tmp_path / "rounds.jsonl").read_bytes()),
                    _sha256((tmp_path / "evals.jsonl").read_bytes()))
         assert digests == GOLDEN_RUNS[name]
+
+    @pytest.mark.parametrize("arch_name", sorted(GOLDEN_MATCHING))
+    def test_matching_loss_and_grads_are_pinned(self, arch_name):
+        arch = build_arch(arch_name)
+        rng = np.random.default_rng(11)
+        decoder, theta = build_matching_decoder(arch, rng)
+        w_round = nn.init_params(arch.graph, rng)
+        w_local = w_round.map(lambda a: a + 0.01 * rng.normal(size=a.shape))
+        x = rng.normal(size=(6, *arch.graph.input_shape))
+        y = rng.integers(0, 10, size=6)
+        breakdown, w_grads, theta_grads = total_loss_and_grads(
+            arch.graph, x, y, w_local, w_round, decoder, theta,
+            LossSettings(use_matching=True, matching_coeff=0.3))
+        h = hashlib.sha256(repr(breakdown).encode())
+        for grads in (w_grads, theta_grads):
+            for k, v in grads.items():
+                h.update(k.encode())
+                h.update(v.tobytes())
+        assert h.hexdigest() == GOLDEN_MATCHING[arch_name]
 
 
 def _non_default(f, current):
