@@ -212,7 +212,8 @@ def aggregate(w_round: ParamSet, results: list[ClientResult],
     literal mode weighs each client by n_k / N (N = all datapoints across
     all clients); renormalized mode weighs by n_k / sum of the selected
     clients' n_k.  Accumulation runs in ascending client order, so the
-    result does not depend on who computed what where.
+    result does not depend on who computed what where.  A client whose
+    tensor names or shapes differ from `w_round` raises ShapeError.
     """
     if not results:
         raise ValueError("cannot aggregate zero client results")
@@ -225,6 +226,7 @@ def aggregate(w_round: ParamSet, results: list[ClientResult],
         denom = float(sum(r.n_samples for r in ordered))
     new = {k: w_round[k].copy() for k in w_round}
     for r in ordered:
+        w_round.check_structure(r.params)
         coef = r.n_samples / denom
         for k in new:
             new[k] += coef * (r.params[k] - w_round[k])

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .models import MapOp, MatchingDecoder, ReshapeOp, UnpoolOp
+from .models import MatchingDecoder, MatchStage
 from .nn import ForwardTrace, ModelGraph, ParamSet
 
 
@@ -95,50 +95,26 @@ def wd_loss(w_round: ParamSet, w_local: ParamSet):
 # Matching loss
 
 
-def _stage_forward(stage, theta: ParamSet, src: np.ndarray,
+def _stage_forward(stage: MatchStage, theta: ParamSet, src: np.ndarray,
                    local_trace: ForwardTrace):
-    """Run one decoder stage; returns (output, cache for backward)."""
+    """Run one decoder stage; returns (output, cache).  The cache holds each
+    layer's input and the local model's pool switches, which unpools replay."""
     cur = src
-    cache = []
-    for op in stage.ops:
-        if isinstance(op, MapOp):
-            spec = op.spec
-            w = theta[f"{stage.index}.w"]
-            b = theta[f"{stage.index}.b"]
-            cache.append(("map", cur))
-            if spec.kind == "dense":
-                cur = nn.dense_forward(cur, w, b)
-            else:
-                cur = nn.transposed_conv2d_forward(cur, w, b, padding=spec.padding)
-        elif isinstance(op, ReshapeOp):
-            cache.append(("reshape", cur.shape))
-            cur = cur.reshape(cur.shape[0], *op.shape)
-        elif isinstance(op, UnpoolOp):
-            sw = local_trace.switches[op.pool_layer]
-            cache.append(("unpool", sw))
-            cur = nn.unpool2x2_forward(cur, sw)
-    return cur, cache
+    inputs = []
+    for spec in stage.layers:
+        inputs.append(cur)
+        cur = nn.layer_forward(spec, stage.index, cur, theta, local_trace.switches)
+    return cur, (inputs, local_trace.switches)
 
 
-def _stage_backward(stage, theta: ParamSet, cache, g: np.ndarray):
-    """Backprop one stage; returns (dtheta_w, dtheta_b, grad w.r.t. src)."""
-    dw = db = None
-    for op, entry in zip(reversed(stage.ops), reversed(cache)):
-        kind = entry[0]
-        if kind == "map":
-            _, x_in = entry
-            spec = op.spec
-            w = theta[f"{stage.index}.w"]
-            if spec.kind == "dense":
-                dw, db, g = nn.dense_backward(x_in, w, g)
-            else:
-                dw, db, g = nn.transposed_conv2d_backward(x_in, w, g,
-                                                          padding=spec.padding)
-        elif kind == "reshape":
-            g = g.reshape(entry[1])
-        else:
-            g = nn.unpool2x2_backward(g, entry[1])
-    return dw, db, g
+def _stage_backward(stage: MatchStage, theta: ParamSet, cache, g: np.ndarray,
+                    grads: dict[str, np.ndarray]) -> np.ndarray:
+    """Backprop one stage; stores its theta gradients in `grads` and returns
+    the gradient with respect to the stage's source activation."""
+    inputs, switches = cache
+    for spec, x_in in zip(reversed(stage.layers), reversed(inputs)):
+        g = nn.layer_backward(spec, stage.index, x_in, g, theta, switches, grads)
+    return g
 
 
 def matching_loss(local_trace: ForwardTrace, fixed_trace: ForwardTrace,
@@ -181,9 +157,7 @@ def matching_backward(decoder: MatchingDecoder, theta: ParamSet, stage_data):
     for stage, cache, resid in stage_data:
         b = resid.shape[0]
         g = (2.0 / b) * resid
-        dw, db, gsrc = _stage_backward(stage, theta, cache, g)
-        theta_grads[f"{stage.index}.w"] = dw
-        theta_grads[f"{stage.index}.b"] = db
+        gsrc = _stage_backward(stage, theta, cache, g, theta_grads)
         s = stage.source_site
         if s in site_grads:
             site_grads[s] = site_grads[s] + gsrc

@@ -12,11 +12,12 @@ Three fixed architectures cover the tasks:
 Matching sites are the network input, every relu output, and the raw
 logits.  For consecutive sites (j, j+1) the decoder owns one stage f_j
 that maps the site-(j+1) activation of the *local* model back to the
-site-j activation of the *round-start* model.  A stage reverses the ops
-between the two sites in reverse order: exactly one learned map (an
-affine map where the forward chain was dense, a stride-1 transposed conv
-where it was conv), a reshape wherever a flatten sat, and an unpool
-(replaying the local model's pool switches) wherever a pool sat.
+site-j activation of the *round-start* model.  A stage is a chain of
+`LayerSpec`s that mirrors the layers between the two sites in reverse
+order: exactly one learned map (an affine map where the forward chain was
+dense, a stride-1 transposed conv where it was conv), an unflatten
+wherever a flatten sat, and an unpool (replaying the local model's pool
+switches) wherever a pool sat.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from .nn import (
     maxpool2x2,
     relu,
     transposed_conv2d,
+    unflatten,
+    unpool2x2,
 )
 
 ARCH_NAMES = ("mnist_mlp", "cifar_cnn", "kws_cnn")
@@ -122,28 +125,7 @@ def site_shape(graph: ModelGraph, site: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Decoder stage ops
-
-
-@dataclass(frozen=True)
-class MapOp:
-    """The stage's single learned map (dense or transposed conv)."""
-    spec: LayerSpec
-
-
-@dataclass(frozen=True)
-class ReshapeOp:
-    """Undo a flatten: reshape the batch back to `shape` per sample."""
-    shape: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class UnpoolOp:
-    """Undo a maxpool using the trainable model's switches at `pool_layer`."""
-    pool_layer: int
-
-
-StageOp = MapOp | ReshapeOp | UnpoolOp
+# Matching decoders
 
 
 @dataclass(frozen=True)
@@ -153,13 +135,14 @@ class MatchStage:
     index: int  # 1-based stage number; parameters live under "{index}.w/.b"
     source_site: int  # layer index fed into the stage (site j)
     target_site: int  # layer index the stage reconstructs (site j-1)
-    ops: tuple[StageOp, ...]
+    layers: tuple[LayerSpec, ...]
 
     @property
     def map_spec(self) -> LayerSpec:
-        for op in self.ops:
-            if isinstance(op, MapOp):
-                return op.spec
+        """The stage's one layer with parameters."""
+        for spec in self.layers:
+            if spec.has_params:
+                return spec
         raise GraphError(f"stage {self.index} has no learned map")
 
 
@@ -173,72 +156,55 @@ class MatchingDecoder:
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         out: dict[str, tuple[int, ...]] = {}
         for st in self.stages:
-            spec = st.map_spec
-            if spec.kind == "dense":
-                out[f"{st.index}.w"] = (spec.in_units, spec.out_units)
-                out[f"{st.index}.b"] = (spec.out_units,)
-            else:
-                out[f"{st.index}.w"] = (spec.in_channels, spec.out_channels,
-                                        spec.kernel_h, spec.kernel_w)
-                out[f"{st.index}.b"] = (spec.out_channels,)
+            out[f"{st.index}.w"], out[f"{st.index}.b"] = nn.layer_param_shapes(st.map_spec)
         return out
 
 
-def _segment_ops(graph: ModelGraph, lo_site: int, hi_site: int) -> list[StageOp]:
-    """Reverse the forward chain (lo_site, hi_site] into decoder ops."""
+def _segment_layers(graph: ModelGraph, lo_site: int, hi_site: int) -> list[LayerSpec]:
+    """Reverse the forward chain (lo_site, hi_site] into decoder layers."""
     chain = list(range(lo_site + 1, hi_site + 1))
     # A site at a relu output is reconstructed directly; the relu itself is
     # not inverted (the learned map absorbs it).
     if graph.layers[hi_site].kind == "relu":
         chain = chain[:-1]
-    ops: list[StageOp] = []
-    n_maps = 0
+    layers: list[LayerSpec] = []
     for i in reversed(chain):
         spec = graph.layers[i]
-        in_shape = graph.input_shape if i == 0 else graph.layer_shapes[i - 1]
         if spec.kind == "dense":
-            ops.append(MapOp(dense(spec.out_units, spec.in_units)))
-            n_maps += 1
+            layers.append(dense(spec.out_units, spec.in_units))
         elif spec.kind == "conv2d":
             if spec.stride != 1:
                 raise GraphError("decoder mirroring requires stride-1 convs")
-            ops.append(MapOp(transposed_conv2d(spec.out_channels, spec.in_channels,
-                                               spec.kernel_h, padding=spec.padding)))
-            n_maps += 1
+            layers.append(transposed_conv2d(spec.out_channels, spec.in_channels,
+                                            spec.kernel_h, padding=spec.padding))
         elif spec.kind == "flatten":
-            ops.append(ReshapeOp(in_shape))
+            layers.append(unflatten(site_shape(graph, i - 1)))
         elif spec.kind == "maxpool2x2":
-            ops.append(UnpoolOp(pool_layer=i))
+            layers.append(unpool2x2(i))
         elif spec.kind == "relu":
             raise GraphError(
                 f"relu at layer {i} sits between matching sites; sites must "
                 f"cover every pointwise nonlinearity")
         else:
             raise GraphError(f"cannot mirror layer kind {spec.kind!r} in a decoder")
+    n_maps = sum(spec.has_params for spec in layers)
     if n_maps != 1:
         raise GraphError(
             f"segment ({lo_site}, {hi_site}] yields {n_maps} learned maps; "
             f"expected exactly one per stage")
-    return ops
+    return layers
 
 
 def _stage_output_shape(graph: ModelGraph, stage: MatchStage,
                         in_shape: tuple[int, ...]) -> tuple[int, ...]:
     cur = in_shape
-    for op in stage.ops:
-        if isinstance(op, MapOp):
-            cur = nn.output_shape(op.spec, cur)
-        elif isinstance(op, ReshapeOp):
-            if int(np.prod(cur)) != int(np.prod(op.shape)):
-                raise nn.ShapeError(
-                    f"stage {stage.index}: cannot reshape {cur} to {op.shape}")
-            cur = op.shape
-        else:
-            pool_out = graph.layer_shapes[op.pool_layer]
+    for spec in stage.layers:
+        if spec.kind == "unpool2x2":
+            pool_out = graph.layer_shapes[spec.pool_layer]
             if cur != pool_out:
                 raise nn.ShapeError(
                     f"stage {stage.index}: unpool expects {pool_out}, got {cur}")
-            cur = (cur[0], 2 * cur[1], 2 * cur[2])
+        cur = nn.output_shape(spec, cur)
     return cur
 
 
@@ -260,7 +226,7 @@ def build_matching_decoder(arch: ModelArch, rng: np.random.Generator,
     for k in range(len(sites) - 1):
         lo, hi = sites[k], sites[k + 1]
         stage = MatchStage(index=k + 1, source_site=hi, target_site=lo,
-                           ops=tuple(_segment_ops(graph, lo, hi)))
+                           layers=tuple(_segment_layers(graph, lo, hi)))
         got = _stage_output_shape(graph, stage, site_shape(graph, hi))
         want = site_shape(graph, lo)
         if got != want:
@@ -271,7 +237,5 @@ def build_matching_decoder(arch: ModelArch, rng: np.random.Generator,
     decoder = MatchingDecoder(arch_name=arch.name, stages=tuple(stages))
     tensors: dict[str, np.ndarray] = {}
     for st in decoder.stages:
-        p = nn.init_layer_params(st.map_spec, rng)
-        tensors[f"{st.index}.w"] = p["w"]
-        tensors[f"{st.index}.b"] = p["b"]
+        tensors.update(nn.init_layer_params(st.map_spec, st.index, rng))
     return decoder, ParamSet(tensors)

@@ -45,6 +45,7 @@ KINDS = (
     "flatten",
     "transposed_conv2d",
     "unpool2x2",
+    "unflatten",
 )
 
 # ---------------------------------------------------------------------------
@@ -53,11 +54,12 @@ KINDS = (
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One layer in a graph (or one learned map in a matching decoder).
+    """One layer in a graph or in a matching-decoder stage.
 
     Only the fields relevant to `kind` are meaningful; the rest stay at
     their defaults.  `pool_layer` is the index of the maxpool2x2 layer
-    whose switches an unpool2x2 layer replays.
+    whose switches an unpool2x2 layer replays; `shape` is the per-sample
+    shape an unflatten layer restores.
     """
 
     kind: str
@@ -70,6 +72,7 @@ class LayerSpec:
     stride: int = 1
     padding: int = 0
     pool_layer: int = -1
+    shape: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -77,6 +80,9 @@ class LayerSpec:
         if self.kind == "dense":
             if self.in_units <= 0 or self.out_units <= 0:
                 raise GraphError("dense layer needs positive in/out units")
+        elif self.kind == "unflatten":
+            if not self.shape or min(self.shape) <= 0:
+                raise GraphError(f"unflatten needs a non-empty positive shape, got {self.shape}")
         elif self.kind in ("conv2d", "transposed_conv2d"):
             if self.in_channels <= 0 or self.out_channels <= 0:
                 raise GraphError(f"{self.kind} needs positive channel counts")
@@ -134,6 +140,10 @@ def unpool2x2(pool_layer: int) -> LayerSpec:
     return LayerSpec("unpool2x2", pool_layer=pool_layer)
 
 
+def unflatten(shape: tuple[int, ...]) -> LayerSpec:
+    return LayerSpec("unflatten", shape=tuple(shape))
+
+
 def output_shape(spec: LayerSpec, in_shape: tuple[int, ...]) -> tuple[int, ...]:
     """Per-sample output shape of `spec` applied to `in_shape` (no batch dim)."""
     if spec.kind == "dense":
@@ -147,6 +157,10 @@ def output_shape(spec: LayerSpec, in_shape: tuple[int, ...]) -> tuple[int, ...]:
         if len(in_shape) < 2:
             raise ShapeError(f"flatten expects a multi-axis input, got {in_shape}")
         return (int(np.prod(in_shape)),)
+    if spec.kind == "unflatten":
+        if int(np.prod(in_shape)) != int(np.prod(spec.shape)):
+            raise ShapeError(f"unflatten cannot reshape {in_shape} to {spec.shape}")
+        return spec.shape
     if spec.kind == "maxpool2x2":
         if len(in_shape) != 3:
             raise ShapeError(f"maxpool2x2 expects (C, H, W), got {in_shape}")
@@ -288,42 +302,28 @@ class ModelGraph:
     def output_shape(self) -> tuple[int, ...]:
         return self.layer_shapes[-1]
 
-    def param_shapes(self) -> dict[str, tuple[int, ...]]:
-        out: dict[str, tuple[int, ...]] = {}
-        for i, spec in enumerate(self.layers):
-            if spec.kind == "dense":
-                out[f"{i}.w"] = (spec.in_units, spec.out_units)
-                out[f"{i}.b"] = (spec.out_units,)
-            elif spec.kind == "conv2d":
-                out[f"{i}.w"] = (spec.out_channels, spec.in_channels,
-                                 spec.kernel_h, spec.kernel_w)
-                out[f"{i}.b"] = (spec.out_channels,)
-            elif spec.kind == "transposed_conv2d":
-                out[f"{i}.w"] = (spec.in_channels, spec.out_channels,
-                                 spec.kernel_h, spec.kernel_w)
-                out[f"{i}.b"] = (spec.out_channels,)
-        return out
 
-
-def init_layer_params(spec: LayerSpec, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases."""
+def layer_param_shapes(spec: LayerSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(w, b) shapes of a layer with parameters."""
     if spec.kind == "dense":
-        fan_in = spec.in_units
-        w = rng.uniform(-1.0, 1.0, (spec.in_units, spec.out_units)) / np.sqrt(fan_in)
-        b = np.zeros(spec.out_units)
-    elif spec.kind == "conv2d":
-        fan_in = spec.in_channels * spec.kernel_h * spec.kernel_w
-        w = rng.uniform(-1.0, 1.0, (spec.out_channels, spec.in_channels,
-                                    spec.kernel_h, spec.kernel_w)) / np.sqrt(fan_in)
-        b = np.zeros(spec.out_channels)
-    elif spec.kind == "transposed_conv2d":
-        fan_in = spec.in_channels * spec.kernel_h * spec.kernel_w
-        w = rng.uniform(-1.0, 1.0, (spec.in_channels, spec.out_channels,
-                                    spec.kernel_h, spec.kernel_w)) / np.sqrt(fan_in)
-        b = np.zeros(spec.out_channels)
-    else:
-        raise GraphError(f"layer kind {spec.kind!r} has no parameters")
-    return {"w": w, "b": b}
+        return (spec.in_units, spec.out_units), (spec.out_units,)
+    if spec.kind == "conv2d":
+        return ((spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w),
+                (spec.out_channels,))
+    if spec.kind == "transposed_conv2d":
+        return ((spec.in_channels, spec.out_channels, spec.kernel_h, spec.kernel_w),
+                (spec.out_channels,))
+    raise GraphError(f"layer kind {spec.kind!r} has no parameters")
+
+
+def init_layer_params(spec: LayerSpec, i: int,
+                      rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Fresh "{i}.w" ~ Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) and zero "{i}.b"
+    for layer `i`; fan_in counts the weights that feed one output unit."""
+    w_shape, b_shape = layer_param_shapes(spec)
+    fan_in = int(np.prod(w_shape)) // b_shape[0]
+    return {f"{i}.w": rng.uniform(-1.0, 1.0, w_shape) / np.sqrt(fan_in),
+            f"{i}.b": np.zeros(b_shape)}
 
 
 def init_params(graph: ModelGraph, rng: np.random.Generator) -> ParamSet:
@@ -335,9 +335,7 @@ def init_params(graph: ModelGraph, rng: np.random.Generator) -> ParamSet:
     tensors: dict[str, np.ndarray] = {}
     for i, spec in enumerate(graph.layers):
         if spec.has_params:
-            p = init_layer_params(spec, rng)
-            tensors[f"{i}.w"] = p["w"]
-            tensors[f"{i}.b"] = p["b"]
+            tensors.update(init_layer_params(spec, i, rng))
     return ParamSet(tensors)
 
 
@@ -573,40 +571,78 @@ class ForwardTrace:
         return self.outputs[layer_index]
 
 
-def forward(graph: ModelGraph, params: ParamSet, x: np.ndarray,
-            check_finite: bool = True) -> ForwardTrace:
+def layer_forward(spec: LayerSpec, i: int, x: np.ndarray, params: Mapping[str, np.ndarray],
+                  switches: dict[int, np.ndarray]) -> np.ndarray:
+    """Apply `spec`, the layer at index `i`, to the batch `x`.
+
+    Parameters are read from "{i}.w"/"{i}.b".  A maxpool records its
+    switches under `i`; an unpool replays those under `spec.pool_layer`.
+    """
+    if spec.kind == "dense":
+        return dense_forward(x, params[f"{i}.w"], params[f"{i}.b"])
+    if spec.kind == "relu":
+        return relu_forward(x)
+    if spec.kind == "conv2d":
+        return conv2d_forward(x, params[f"{i}.w"], params[f"{i}.b"],
+                              stride=spec.stride, padding=spec.padding)
+    if spec.kind == "transposed_conv2d":
+        return transposed_conv2d_forward(x, params[f"{i}.w"], params[f"{i}.b"],
+                                         padding=spec.padding)
+    if spec.kind == "maxpool2x2":
+        out, switches[i] = maxpool2x2_forward(x)
+        return out
+    if spec.kind == "flatten":
+        return x.reshape(x.shape[0], -1)
+    if spec.kind == "unflatten":
+        return x.reshape(x.shape[0], *spec.shape)
+    if spec.kind == "unpool2x2":
+        return unpool2x2_forward(x, switches[spec.pool_layer])
+    raise GraphError(f"unknown layer kind {spec.kind!r}")  # pragma: no cover
+
+
+def layer_backward(spec: LayerSpec, i: int, x: np.ndarray, g: np.ndarray,
+                   params: Mapping[str, np.ndarray], switches: dict[int, np.ndarray],
+                   grads: dict[str, np.ndarray]) -> np.ndarray:
+    """Backprop `g` through `spec`, the layer at index `i` with input `x`.
+
+    Stores the layer's parameter gradients in `grads` under "{i}.w"/"{i}.b"
+    and returns the gradient with respect to `x`.
+    """
+    if spec.kind == "dense":
+        grads[f"{i}.w"], grads[f"{i}.b"], dx = dense_backward(x, params[f"{i}.w"], g)
+        return dx
+    if spec.kind == "relu":
+        return relu_backward(x, g)
+    if spec.kind == "conv2d":
+        grads[f"{i}.w"], grads[f"{i}.b"], dx = conv2d_backward(
+            x, params[f"{i}.w"], g, stride=spec.stride, padding=spec.padding)
+        return dx
+    if spec.kind == "transposed_conv2d":
+        grads[f"{i}.w"], grads[f"{i}.b"], dx = transposed_conv2d_backward(
+            x, params[f"{i}.w"], g, padding=spec.padding)
+        return dx
+    if spec.kind == "maxpool2x2":
+        return maxpool2x2_backward(g, switches[i])
+    if spec.kind in ("flatten", "unflatten"):
+        return g.reshape(x.shape)
+    if spec.kind == "unpool2x2":
+        return unpool2x2_backward(g, switches[spec.pool_layer])
+    raise GraphError(f"unknown layer kind {spec.kind!r}")  # pragma: no cover
+
+
+def forward(graph: ModelGraph, params: ParamSet, x: np.ndarray) -> ForwardTrace:
     """Run the graph on a batch, keeping every intermediate activation."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1:] != graph.input_shape:
         raise ShapeError(
             f"input shape {x.shape[1:]} does not match graph input {graph.input_shape}")
-    if check_finite:
-        _check_finite("input", x)
+    _check_finite("input", x)
     outputs: list[np.ndarray] = []
     switches: dict[int, np.ndarray] = {}
     cur = x
     for i, spec in enumerate(graph.layers):
-        if spec.kind == "dense":
-            cur = dense_forward(cur, params[f"{i}.w"], params[f"{i}.b"])
-        elif spec.kind == "relu":
-            cur = relu_forward(cur)
-        elif spec.kind == "conv2d":
-            cur = conv2d_forward(cur, params[f"{i}.w"], params[f"{i}.b"],
-                                 stride=spec.stride, padding=spec.padding)
-        elif spec.kind == "transposed_conv2d":
-            cur = transposed_conv2d_forward(cur, params[f"{i}.w"], params[f"{i}.b"],
-                                            padding=spec.padding)
-        elif spec.kind == "maxpool2x2":
-            cur, sw = maxpool2x2_forward(cur)
-            switches[i] = sw
-        elif spec.kind == "flatten":
-            cur = cur.reshape(cur.shape[0], -1)
-        elif spec.kind == "unpool2x2":
-            cur = unpool2x2_forward(cur, switches[spec.pool_layer])
-        else:  # pragma: no cover - LayerSpec already validates kinds
-            raise GraphError(f"unknown layer kind {spec.kind!r}")
-        if check_finite:
-            _check_finite(f"layer {i} ({spec.kind}) output", cur)
+        cur = layer_forward(spec, i, cur, params, switches)
+        _check_finite(f"layer {i} ({spec.kind}) output", cur)
         outputs.append(cur)
     return ForwardTrace(x=x, outputs=tuple(outputs), switches=switches)
 
@@ -625,8 +661,7 @@ def _layer0_param_grads(spec: LayerSpec, x: np.ndarray, g: np.ndarray):
 
 def backward(graph: ModelGraph, params: ParamSet, trace: ForwardTrace,
              output_grad: np.ndarray,
-             site_grads: dict[int, np.ndarray] | None = None,
-             check_finite: bool = True) -> ParamSet:
+             site_grads: dict[int, np.ndarray] | None = None) -> ParamSet:
     """Backprop through the whole graph; returns the parameter gradients.
 
     `output_grad` is dLoss/d(last layer output).  `site_grads` lets callers
@@ -656,31 +691,8 @@ def backward(graph: ModelGraph, params: ParamSet, trace: ForwardTrace,
             if spec.has_params:
                 grads["0.w"], grads["0.b"] = _layer0_param_grads(spec, trace.x, g)
             break
-        x_in = trace.outputs[i - 1]
-        if spec.kind == "dense":
-            dw, db, g = dense_backward(x_in, params[f"{i}.w"], g)
-            grads[f"{i}.w"] = dw
-            grads[f"{i}.b"] = db
-        elif spec.kind == "relu":
-            g = relu_backward(x_in, g)
-        elif spec.kind == "conv2d":
-            dw, db, g = conv2d_backward(x_in, params[f"{i}.w"], g,
-                                        stride=spec.stride, padding=spec.padding)
-            grads[f"{i}.w"] = dw
-            grads[f"{i}.b"] = db
-        elif spec.kind == "transposed_conv2d":
-            dw, db, g = transposed_conv2d_backward(x_in, params[f"{i}.w"], g,
-                                                   padding=spec.padding)
-            grads[f"{i}.w"] = dw
-            grads[f"{i}.b"] = db
-        elif spec.kind == "maxpool2x2":
-            g = maxpool2x2_backward(g, trace.switches[i])
-        elif spec.kind == "flatten":
-            g = g.reshape(x_in.shape)
-        elif spec.kind == "unpool2x2":
-            g = unpool2x2_backward(g, trace.switches[spec.pool_layer])
-        if check_finite:
-            _check_finite(f"layer {i} ({spec.kind}) gradient", g)
+        g = layer_backward(spec, i, trace.outputs[i - 1], g, params, trace.switches, grads)
+        _check_finite(f"layer {i} ({spec.kind}) gradient", g)
     # Key order must mirror the parameter set so the two zip structurally.
     ordered = {k: grads[k] for k in params if k in grads}
     if len(ordered) != len(grads):

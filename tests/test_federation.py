@@ -221,6 +221,16 @@ class TestAggregate:
         with pytest.raises(ValueError):
             aggregate(w, [self._result(0, 10, w)], 10, "mean")
 
+    @pytest.mark.parametrize("bad", [
+        pytest.param({"0.b": np.zeros(1)}, id="bias-shape"),
+        pytest.param({"9.x": np.zeros(2)}, id="extra-tensor"),
+    ])
+    def test_mismatched_client_params_rejected(self, bad):
+        _, w = self._setup()
+        client = ParamSet({**w, **bad})
+        with pytest.raises(nn.ShapeError):
+            aggregate(w, [self._result(0, 10, w), self._result(1, 10, client)], 20)
+
 
 class TestScheduleLr:
     def test_halves_each_third(self):

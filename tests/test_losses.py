@@ -23,6 +23,17 @@ import oracles
 
 RNG = np.random.default_rng(4242)
 
+# arch -> (theta keys, local model keys, coordinates per key, step) probed by
+# the matching-loss finite-difference tests.  mnist_mlp's stages are dense
+# only; on cifar_cnn stage 2 is a transposed conv + unpool and stage 3 a
+# dense + unflatten + unpool.  cifar layer 2 is a pool and has no parameters.
+# A cifar conv parameter feeds thousands of relu and pool units, and a 1e-4
+# step moves some of them across a kink, so cifar probes with 1e-6.
+MATCHING_FD_CASES = {
+    "mnist_mlp": (("1.b", "2.w", "3.w"), ("0.b", "2.b", "4.w"), 60, 1e-4),
+    "cifar_cnn": (("2.w", "2.b", "3.w"), ("0.w", "3.b", "7.w"), 20, 1e-6),
+}
+
 
 class TestCrossEntropy:
     def test_matches_loop_reference(self):
@@ -137,9 +148,9 @@ class TestMatchingLoss:
         """Identity decoder on identical models gives exactly zero."""
         graph = ModelGraph((3,), (dense(3, 3),))
         arch = type("A", (), {"graph": graph, "name": "tiny", "n_classes": 3})
-        from fedmatch.models import MatchStage, MapOp, MatchingDecoder
+        from fedmatch.models import MatchStage, MatchingDecoder
         stage = MatchStage(index=1, source_site=0, target_site=-1,
-                           ops=(MapOp(dense(3, 3)),))
+                           layers=(dense(3, 3),))
         decoder = MatchingDecoder(arch_name="tiny", stages=(stage,))
         w = ParamSet({"0.w": np.eye(3), "0.b": np.zeros(3)})
         theta = ParamSet({"1.w": np.eye(3), "1.b": np.zeros(3)})
@@ -160,42 +171,47 @@ class TestMatchingLoss:
         assert len(data) == len(decoder.stages)
 
     def test_theta_gradient_matches_finite_differences(self):
-        arch, decoder, theta, w_round, w_local, x = self._setup()
-
-        def value():
+        for name, (keys, _, n, h) in MATCHING_FD_CASES.items():
+            arch, decoder, theta, w_round, w_local, x = self._setup(name)
             local = nn.forward(arch.graph, w_local, x)
             fixed = nn.forward(arch.graph, w_round, x)
-            return matching_loss(local, fixed, decoder, theta)[0]
 
-        local = nn.forward(arch.graph, w_local, x)
-        fixed = nn.forward(arch.graph, w_round, x)
-        _, data = matching_loss(local, fixed, decoder, theta)
-        tgrads, _ = matching_backward(decoder, theta, data)
-        pick = np.random.default_rng(1)
-        for key in ("1.b", "2.w", "3.w"):
-            idx = pick.choice(theta[key].size, size=min(60, theta[key].size),
-                              replace=False)
-            numeric = oracles.fd_gradient_at(value, theta[key], idx)
-            assert oracles.grad_close(tgrads[key].reshape(-1)[idx], numeric), key
+            def value():
+                return matching_loss(local, fixed, decoder, theta)[0]
+
+            _, data = matching_loss(local, fixed, decoder, theta)
+            tgrads, _ = matching_backward(decoder, theta, data)
+            pick = np.random.default_rng(1)
+            for key in keys:
+                idx = pick.choice(theta[key].size, size=min(n, theta[key].size),
+                                  replace=False)
+                numeric = oracles.fd_gradient_at(value, theta[key], idx, h=h)
+                assert oracles.grad_close(tgrads[key].reshape(-1)[idx], numeric), \
+                    (name, key)
 
     def test_site_gradients_flow_into_local_model(self):
-        arch, decoder, theta, w_round, w_local, x = self._setup()
-        settings = LossSettings(use_matching=True)
+        for name, (_, keys, n, h) in MATCHING_FD_CASES.items():
+            arch, decoder, theta, w_round, w_local, x = self._setup(name)
+            settings = LossSettings(use_matching=True)
+            y = np.array([0, 1, 2])
+            fixed = nn.forward(arch.graph, w_round, x)
 
-        def value():
-            br, _, _ = total_loss_and_grads(arch.graph, x, y, w_local, w_round,
-                                            decoder, theta, settings)
-            return br.total
+            def value():
+                # The objective, forward only: CE + matching + ER.
+                local = nn.forward(arch.graph, w_local, x)
+                return (cross_entropy(local.logits, y)[0]
+                        + matching_loss(local, fixed, decoder, theta)[0]
+                        + er_loss(local.logits, settings.min_entropy)[0])
 
-        y = np.array([0, 1, 2])
-        _, w_grads, _ = total_loss_and_grads(arch.graph, x, y, w_local, w_round,
-                                             decoder, theta, settings)
-        pick = np.random.default_rng(2)
-        for key in ("0.b", "2.b", "4.w"):
-            idx = pick.choice(w_local[key].size, size=min(60, w_local[key].size),
-                              replace=False)
-            numeric = oracles.fd_gradient_at(value, w_local[key], idx)
-            assert oracles.grad_close(w_grads[key].reshape(-1)[idx], numeric), key
+            _, w_grads, _ = total_loss_and_grads(arch.graph, x, y, w_local, w_round,
+                                                 decoder, theta, settings)
+            pick = np.random.default_rng(2)
+            for key in keys:
+                idx = pick.choice(w_local[key].size, size=min(n, w_local[key].size),
+                                  replace=False)
+                numeric = oracles.fd_gradient_at(value, w_local[key], idx, h=h)
+                assert oracles.grad_close(w_grads[key].reshape(-1)[idx], numeric), \
+                    (name, key)
 
     def test_matching_needs_decoder(self):
         arch, _, _, w_round, w_local, x = self._setup()

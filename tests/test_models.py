@@ -6,9 +6,6 @@ import pytest
 
 from fedmatch import nn
 from fedmatch.models import (
-    MapOp,
-    ReshapeOp,
-    UnpoolOp,
     arch_for_task,
     build_arch,
     build_matching_decoder,
@@ -92,13 +89,13 @@ class TestDecoderWiring:
 
     def _ops_summary(self, stage):
         out = []
-        for op in stage.ops:
-            if isinstance(op, MapOp):
-                out.append(op.spec.kind)
-            elif isinstance(op, ReshapeOp):
+        for spec in stage.layers:
+            if spec.has_params:
+                out.append(spec.kind)
+            elif spec.kind == "unflatten":
                 out.append("reshape")
             else:
-                out.append(f"unpool@{op.pool_layer}")
+                out.append(f"unpool@{spec.pool_layer}")
         return out
 
     def test_mlp_decoder_is_three_affine_stages(self):

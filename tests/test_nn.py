@@ -19,6 +19,7 @@ from fedmatch.nn import (
     maxpool2x2,
     relu,
     transposed_conv2d,
+    unflatten,
     unpool2x2,
 )
 
@@ -358,6 +359,16 @@ class TestGraphValidation:
                          kernel_h=3, kernel_w=3, stride=2)
         with pytest.raises(GraphError):
             nn.LayerSpec("wiggle")
+
+    @pytest.mark.parametrize("shape", [(), (0, 4), (3, -2)])
+    def test_unflatten_needs_a_positive_shape(self, shape):
+        with pytest.raises(GraphError):
+            unflatten(shape)
+
+    def test_unflatten_checks_the_element_count(self):
+        assert ModelGraph((12,), (unflatten((3, 2, 2)),)).output_shape == (3, 2, 2)
+        with pytest.raises(ShapeError):
+            ModelGraph((12,), (unflatten((2, 5)),))
 
 
 class TestParamSet:
