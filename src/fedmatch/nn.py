@@ -12,6 +12,18 @@ Conventions:
   transposed-conv kernels are (in_ch, out_ch, kh, kw);
 * max-pool layers record which corner of each 2x2 window won (the
   "switches"), so the matching decoders can unpool into the right slots.
+
+Memory: every conv forward, transposed-conv forward and conv or
+transposed-conv input gradient is one `_correlate_nhwc` GEMM, run over
+batch slices whose im2col (or tap-sum) intermediate stays within
+`SLICE_BYTES` (8 MiB).  Unsliced, the patch matrix of a kws_cnn validation
+batch (128 samples, 64 -> 64 channels at 32x32) is ~600 MB.  The slices
+are a fixed function of the shapes, so runs stay deterministic, and at
+the models' conv shapes OpenBLAS gives each output row the same bytes
+whatever the row count, so slicing changes no byte there.  Two products
+are not sliced: a conv's weight gradient sums over the batch, so slicing
+would reorder that sum, and a dense layer's GEMM (e.g. 1024 -> 10)
+rounds differently at every slice size.
 """
 
 from __future__ import annotations
@@ -370,6 +382,11 @@ def relu_backward(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, g, 0.0)
 
 
+# Largest GEMM intermediate (im2col patches or tap-sum taps) that one batch
+# slice of a conv may build; see `_correlate_nhwc`.
+SLICE_BYTES = 8 << 20
+
+
 def _pad_nhwc(x: np.ndarray, padding: int) -> np.ndarray:
     """(B, C, H, W) -> zero-padded channel-last (B, H+2p, W+2p, C)."""
     p = padding
@@ -393,7 +410,7 @@ def _correlate_nhwc(xh: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
     """Unpadded cross-correlation of channel-last `xh` (B, HP, WP, C) with
     (O, C, KH, KW) kernels; returns channel-last (B, OH, OW, O).
 
-    One GEMM, in whichever of two forms has the narrower intermediate:
+    In whichever of two GEMM forms has the narrower intermediate:
 
     * C <= O, gather: patches (B*OH*OW, KH*KW*C) @ kernel^T.
     * C > O, tap-sum: apply the kernel first, xh (B*HP*WP, C) @
@@ -401,21 +418,35 @@ def _correlate_nhwc(xh: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
 
     The patch matrix is KH*KW*C wide and the tap-sum intermediate KH*KW*O,
     so the channel counts decide.
+
+    The GEMM runs over batch slices whose intermediate stays within
+    `SLICE_BYTES` (at least one sample each); every slice writes its rows
+    of the one output array, and a batch that fits is a single slice.
+    The weight gradient (`_conv2d_param_grads`) stays one GEMM: it sums
+    over the batch, and slicing would reorder that sum.
     """
     o, c, kh, kw = w.shape
     bsz, hp, wp = xh.shape[:3]
     oh = (hp - kh) // stride + 1
     ow = (wp - kw) // stride + 1
-    if c <= o:
-        out = _patches(xh, kh, kw, stride) @ w.transpose(0, 2, 3, 1).reshape(o, -1).T
-        return out.reshape(bsz, oh, ow, o)
-    taps = (xh.reshape(-1, c) @ w.transpose(1, 2, 3, 0).reshape(c, -1)).reshape(
-        bsz, hp, wp, kh, kw, o)
     out = np.zeros((bsz, oh, ow, o))
-    for u in range(kh):
-        for v in range(kw):
-            out += taps[:, u:u + stride * (oh - 1) + 1:stride,
-                        v:v + stride * (ow - 1) + 1:stride, u, v]
+    if c <= o:
+        wm = w.transpose(0, 2, 3, 1).reshape(o, -1).T
+        sample_bytes = oh * ow * kh * kw * c * out.itemsize
+    else:
+        wm = w.transpose(1, 2, 3, 0).reshape(c, -1)
+        sample_bytes = hp * wp * kh * kw * o * out.itemsize
+    step = max(1, SLICE_BYTES // sample_bytes)
+    for lo in range(0, bsz, step):
+        xs, ys = xh[lo:lo + step], out[lo:lo + step]
+        if c <= o:
+            np.matmul(_patches(xs, kh, kw, stride), wm, out=ys.reshape(-1, o))
+        else:
+            taps = (xs.reshape(-1, c) @ wm).reshape(xs.shape[0], hp, wp, kh, kw, o)
+            for u in range(kh):
+                for v in range(kw):
+                    ys += taps[:, u:u + stride * (oh - 1) + 1:stride,
+                               v:v + stride * (ow - 1) + 1:stride, u, v]
     return out
 
 
@@ -502,20 +533,30 @@ def transposed_conv2d_backward(x: np.ndarray, w: np.ndarray, g: np.ndarray,
     return _tconv_as_conv(dwc), db, dx
 
 
+def _corners(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The four corners of every 2x2 window of (B, C, H, W), as strided
+    (B, C, H/2, W/2) views in row-major order."""
+    return tuple(x[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1))
+
+
 def maxpool2x2_forward(x: np.ndarray):
     """Returns (pooled, switches); switches hold the argmax corner 0..3.
 
     Corners are numbered row-major within each window (0 = top-left,
     1 = top-right, 2 = bottom-left, 3 = bottom-right); ties go to the
-    first (row-major) position, which is numpy argmax behavior.
+    first (row-major) position, as numpy argmax would.  The switch counts
+    the leading corners that miss the maximum.
     """
-    b, c, h, w = x.shape
-    if h % 2 or w % 2:
+    if x.shape[2] % 2 or x.shape[3] % 2:
         raise ShapeError(f"maxpool2x2 needs even spatial dims, got {x.shape}")
-    oh, ow = h // 2, w // 2
-    win = x.reshape(b, c, oh, 2, ow, 2).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, oh, ow, 4)
-    switches = win.argmax(axis=-1).astype(np.int8)
-    pooled = np.take_along_axis(win, switches[..., None].astype(np.intp), axis=-1)[..., 0]
+    corners = _corners(x)
+    pooled = np.maximum(np.maximum(corners[0], corners[1]),
+                        np.maximum(corners[2], corners[3]))
+    missed = np.ones(pooled.shape, dtype=bool)
+    switches = np.zeros(pooled.shape, dtype=np.int8)
+    for corner in corners[:3]:
+        missed &= corner != pooled
+        switches += missed
     return pooled, switches
 
 
@@ -538,10 +579,9 @@ def unpool2x2_forward(x: np.ndarray, switches: np.ndarray) -> np.ndarray:
 
 def unpool2x2_backward(g: np.ndarray, switches: np.ndarray) -> np.ndarray:
     """Gather grads from the positions the unpool wrote to."""
-    b, c, h, w = g.shape
-    oh, ow = h // 2, w // 2
-    win = g.reshape(b, c, oh, 2, ow, 2).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, oh, ow, 4)
-    return np.take_along_axis(win, switches[..., None].astype(np.intp), axis=-1)[..., 0]
+    c = _corners(g)
+    return np.where(switches == 0, c[0], np.where(
+        switches == 1, c[1], np.where(switches == 2, c[2], c[3])))
 
 
 # ---------------------------------------------------------------------------

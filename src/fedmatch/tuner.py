@@ -36,10 +36,16 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 COORD_SPAN = (-0.5, 0.5)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 class GridError(ValueError):
@@ -62,12 +68,12 @@ class HyperAxis:
         if self.integer and any(v != int(v) for v in self.values):
             raise GridError(f"integer axis {self.name!r} has non-integer values")
 
-    @property
+    @cached_property
     def coords(self) -> np.ndarray:
+        """Normalized coordinates of the values; cached, read-only."""
         n = len(self.values)
-        if n == 1:
-            return np.zeros(1)
-        return np.linspace(COORD_SPAN[0], COORD_SPAN[1], n)
+        return _read_only(np.zeros(1) if n == 1
+                          else np.linspace(COORD_SPAN[0], COORD_SPAN[1], n))
 
     def raw_at(self, coord: float) -> float:
         """Raw value at a normalized coordinate, linearly interpolated."""
@@ -101,14 +107,19 @@ class HyperGrid:
         return int(np.prod(self.shape))
 
     def points(self) -> np.ndarray:
-        """(size, ndim) matrix of normalized grid coordinates.
+        """(size, ndim) matrix of normalized grid coordinates; cached,
+        read-only.
 
         The first axis varies slowest (row-major flattening of the
         cartesian product), so point index <-> per-axis indices via
         np.unravel_index with this grid's shape.
         """
+        return self._points
+
+    @cached_property
+    def _points(self) -> np.ndarray:
         mesh = np.meshgrid(*(a.coords for a in self.axes), indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=1)
+        return _read_only(np.stack([m.reshape(-1) for m in mesh], axis=1))
 
     def raw_values(self, flat_index: int) -> dict[str, float | int]:
         idx = np.unravel_index(flat_index, self.shape)

@@ -2,10 +2,13 @@
 rules against central finite differences, and the structural contracts
 (shapes, switches, parameter bookkeeping, error paths)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from fedmatch import nn
+from fedmatch import federation, nn
+from fedmatch.models import build_arch
 from fedmatch.nn import (
     ForwardTrace,
     GraphError,
@@ -27,6 +30,16 @@ import oracles
 
 
 RNG = np.random.default_rng(20260813)
+
+
+def _maxpool_by_argmax(x):
+    """Maxpool by reshape, transpose and argmax: an independent oracle for
+    the switches, ties included."""
+    b, c, h, w = x.shape
+    win = x.reshape(b, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5) \
+        .reshape(b, c, h // 2, w // 2, 4)
+    sw = win.argmax(axis=-1)
+    return np.take_along_axis(win, sw[..., None], axis=-1)[..., 0], sw.astype(np.int8)
 
 
 class TestForwardAgainstReferences:
@@ -92,9 +105,18 @@ class TestForwardAgainstReferences:
         assert sw[0, 0, 0, 0] == 3
 
     def test_maxpool_tie_takes_first_row_major_position(self):
-        x = np.array([[[[7.0, 7.0], [7.0, 7.0]]]])
-        _, sw = nn.maxpool2x2_forward(x)
-        assert sw[0, 0, 0, 0] == 0
+        pooled, sw = nn.maxpool2x2_forward(np.full((2, 3, 4, 6), 7.0))
+        assert np.array_equal(sw, np.zeros((2, 3, 2, 3), dtype=np.int8))
+        assert np.array_equal(pooled, np.full((2, 3, 2, 3), 7.0))
+
+    def test_maxpool_ties_match_argmax_formula(self):
+        # Three levels make ties of two, three and four corners common.
+        x = np.random.default_rng(7).integers(0, 3, size=(4, 3, 8, 6)).astype(float)
+        pooled, sw = nn.maxpool2x2_forward(x)
+        want_pooled, want_sw = _maxpool_by_argmax(x)
+        assert sw.dtype == np.int8
+        assert np.array_equal(sw, want_sw)
+        assert pooled.tobytes() == want_pooled.tobytes()
 
     def test_unpool_places_values_at_recorded_corners(self):
         x = RNG.normal(size=(2, 3, 4, 4))
@@ -115,6 +137,72 @@ class TestForwardAgainstReferences:
         sw = np.zeros((1, 2, 4, 4), dtype=np.int8)
         with pytest.raises(ShapeError):
             nn.unpool2x2_forward(x, sw)
+
+
+# kind: (x shape, kernel shape, stride, padding).  Conv kernels are
+# (O, C, K, K), transposed-conv kernels (C, O, K, K); each case runs its
+# forward in one GEMM form and its dx in the other.  Their per-sample GEMM
+# intermediates are 5-14 kB, so a 16 kB budget cuts the 7-sample batch
+# into four to seven slices.
+SLICED_CONVS = {
+    "conv-c3o4": ("conv", (7, 3, 6, 6), (4, 3, 3, 3), 1, 1),
+    "conv-c5o2-s2": ("conv", (7, 5, 7, 7), (2, 5, 3, 3), 2, 1),
+    "tconv-c4o3": ("tconv", (7, 4, 5, 5), (4, 3, 3, 3), 1, 1),
+    "tconv-c2o4": ("tconv", (7, 2, 5, 5), (2, 4, 3, 3), 1, 0),
+}
+
+
+class TestBatchSlicing:
+    """Conv GEMMs run over batch slices of at most nn.SLICE_BYTES of
+    intermediate; a slice boundary must not change a byte."""
+
+    @staticmethod
+    def _forward(kind, x, w, stride, padding):
+        if kind == "conv":
+            return nn.conv2d_forward(x, w, np.ones(w.shape[0]), stride=stride,
+                                     padding=padding)
+        return nn.transposed_conv2d_forward(x, w, np.ones(w.shape[1]), padding=padding)
+
+    @staticmethod
+    def _dx(kind, x, w, g, stride, padding):
+        if kind == "conv":
+            return nn.conv2d_backward(x, w, g, stride=stride, padding=padding)[2]
+        return nn.transposed_conv2d_backward(x, w, g, padding=padding)[2]
+
+    @pytest.mark.parametrize("budget", [1, 16_000], ids=["1B", "16kB"])
+    @pytest.mark.parametrize("case", sorted(SLICED_CONVS))
+    def test_sliced_batch_equals_per_sample_calls(self, case, budget, monkeypatch):
+        kind, x_shape, w_shape, stride, padding = SLICED_CONVS[case]
+        rng = np.random.default_rng(3)
+        x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
+        monkeypatch.setattr(nn, "SLICE_BYTES", budget)
+        y = self._forward(kind, x, w, stride, padding)
+        g = rng.normal(size=y.shape)
+        dx = self._dx(kind, x, w, g, stride, padding)
+        # A single sample is a single slice under any budget.
+        samples = range(x.shape[0])
+        y_parts = [self._forward(kind, x[i:i + 1], w, stride, padding) for i in samples]
+        dx_parts = [self._dx(kind, x[i:i + 1], w, g[i:i + 1], stride, padding)
+                    for i in samples]
+        assert y.tobytes() == np.concatenate(y_parts).tobytes()
+        assert dx.tobytes() == np.concatenate(dx_parts).tobytes()
+
+
+def test_kws_validation_forward_memory_is_bounded():
+    # The kws_cnn validation forward at B=128 peaked at ~880 MB when each
+    # conv built its whole im2col matrix; batch slicing bounds that.
+    arch = build_arch("kws_cnn")
+    rng = np.random.default_rng(0)
+    params = nn.init_params(arch.graph, rng)
+    x = rng.uniform(0.0, 1.0, size=(128, 1, 32, 32))
+    y = rng.integers(0, 10, size=128)
+    tracemalloc.start()
+    try:
+        federation.evaluate_loss(arch.graph, params, x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500e6, f"peak {peak / 1e6:.0f} MB"
 
 
 class TestBackwardAgainstFiniteDifferences:

@@ -63,6 +63,16 @@ class TestAxesAndGrid:
         assert np.allclose(pts[:3, 0], -0.5) and np.allclose(pts[3:, 0], 0.5)
         assert np.allclose(pts[:3, 1], [-0.5, 0.0, 0.5])
 
+    def test_points_and_coords_are_cached_read_only(self):
+        # sample/score/locate read these on every call; a caller that
+        # wrote into them would move the grid for every later call.
+        g = default_grid("kws")
+        assert g.points() is g.points()
+        assert g.axes[0].coords is g.axes[0].coords
+        for arr in (g.points(), g.axes[0].coords):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
     def test_raw_values_and_locate_roundtrip(self):
         g = default_grid("mnist")
         for idx in (0, 7, 35):
