@@ -43,11 +43,10 @@ FEATURE_VERSION = 1
 
 @dataclass(frozen=True)
 class Dataset:
-    """Samples plus integer labels, with a split tag for bookkeeping."""
+    """Samples plus integer labels."""
 
     samples: np.ndarray  # (n, *input_shape) float64
     labels: np.ndarray  # (n,) int64
-    split: str = ""
 
     def __post_init__(self) -> None:
         if self.samples.shape[0] != self.labels.shape[0]:
@@ -69,9 +68,8 @@ class Dataset:
     def n_classes(self) -> int:
         return int(self.labels.max()) + 1 if self.labels.size else 0
 
-    def subset(self, indices: np.ndarray, split: str | None = None) -> "Dataset":
-        return Dataset(self.samples[indices], self.labels[indices],
-                       split if split is not None else self.split)
+    def subset(self, indices: np.ndarray) -> "Dataset":
+        return Dataset(self.samples[indices], self.labels[indices])
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +122,7 @@ def load_mnist(data_dir: str | Path) -> tuple[Dataset, Dataset]:
         if labels.max() > 9:
             raise DataFormatError(f"MNIST {split} labels exceed 9")
         x = images.reshape(images.shape[0], 784).astype(np.float64) / 255.0
-        out.append(Dataset(x, labels.astype(np.int64), split))
+        out.append(Dataset(x, labels.astype(np.int64)))
     return out[0], out[1]
 
 
@@ -157,12 +155,12 @@ def load_cifar10(data_dir: str | Path) -> tuple[Dataset, Dataset]:
         x, y = _read_cifar_batch(path)
         xs.append(x)
         ys.append(y)
-    train = Dataset(np.concatenate(xs), np.concatenate(ys), "train")
+    train = Dataset(np.concatenate(xs), np.concatenate(ys))
     test_path = d / CIFAR_TEST_FILE
     if not test_path.exists():
         raise DataFormatError(f"missing CIFAR-10 file: {test_path}")
     xt, yt = _read_cifar_batch(test_path)
-    test = Dataset(xt, yt, "test")
+    test = Dataset(xt, yt)
     if train.n != 50000 or test.n != 10000:
         raise DataFormatError(
             f"unexpected CIFAR-10 sizes: train {train.n}, test {test.n}")
@@ -173,7 +171,7 @@ def load_cifar10(data_dir: str | Path) -> tuple[Dataset, Dataset]:
 # Feature container (preprocessed spectrograms etc.)
 
 
-def load_features(path: str | Path, split: str = "") -> Dataset:
+def load_features(path: str | Path) -> Dataset:
     """Read one FEDF feature container."""
     raw = Path(path).read_bytes()
     header = struct.calcsize("<4sIIIII")
@@ -193,7 +191,7 @@ def load_features(path: str | Path, split: str = "") -> Dataset:
     feats = np.frombuffer(raw, dtype="<f4", offset=header, count=count * per)
     labels = np.frombuffer(raw, dtype=np.uint8, offset=header + feat_bytes)
     x = feats.astype(np.float64).reshape(count, d0, d1, d2)
-    return Dataset(x, labels.astype(np.int64), split)
+    return Dataset(x, labels.astype(np.int64))
 
 
 def write_features(path: str | Path, dataset: Dataset) -> None:
@@ -216,7 +214,7 @@ def write_features(path: str | Path, dataset: Dataset) -> None:
 
 def make_synthetic(rng: np.random.Generator, classes: int = 10,
                    per_class: int = 100, input_dim: int = 784,
-                   spread: float = 1.0, split: str = "train") -> Dataset:
+                   spread: float = 1.0) -> Dataset:
     """Gaussian class blobs with well-separated random means.
 
     Class means are standard normal per coordinate, so in high dimension
@@ -233,7 +231,7 @@ def make_synthetic(rng: np.random.Generator, classes: int = 10,
     noise = rng.normal(0.0, spread, (labels.size, input_dim))
     samples = 0.25 * (means[labels] + noise)
     perm = rng.permutation(labels.size)
-    return Dataset(samples[perm], labels[perm], split)
+    return Dataset(samples[perm], labels[perm])
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +265,7 @@ def stratified_holdout(dataset: Dataset, holdout_size: int,
     mask = np.ones(n, dtype=bool)
     mask[hold] = False
     rest = np.flatnonzero(mask)
-    return dataset.subset(rest), dataset.subset(hold, split="validation")
+    return dataset.subset(rest), dataset.subset(hold)
 
 
 def stratified_subset(dataset: Dataset, size: int,
@@ -275,8 +273,7 @@ def stratified_subset(dataset: Dataset, size: int,
     """A class-stratified subset of `size` samples (for smoke-scale runs)."""
     if size >= dataset.n:
         return dataset
-    _, sub = stratified_holdout(dataset, size, rng)
-    return Dataset(sub.samples, sub.labels, dataset.split)
+    return stratified_holdout(dataset, size, rng)[1]
 
 
 @dataclass(frozen=True)

@@ -233,27 +233,30 @@ def aggregate(w_round: ParamSet, results: list[ClientResult],
     return ParamSet(new)
 
 
+def _batched_logits(graph: ModelGraph, params: ParamSet, x: np.ndarray,
+                    y: np.ndarray, batch_size: int):
+    """(logits, labels) of consecutive batches of at most `batch_size`."""
+    if x.shape[0] == 0:
+        raise ValueError("cannot evaluate on an empty set")
+    for lo in range(0, x.shape[0], batch_size):
+        yield nn.forward(graph, params, x[lo:lo + batch_size]).logits, y[lo:lo + batch_size]
+
+
 def evaluate_loss(graph: ModelGraph, params: ParamSet, x: np.ndarray,
                   y: np.ndarray, batch_size: int = 512) -> float:
     """Mean cross-entropy over a dataset, batched to bound memory."""
-    if x.shape[0] == 0:
-        raise ValueError("cannot evaluate on an empty set")
     total = 0.0
-    for lo in range(0, x.shape[0], batch_size):
-        xb = x[lo:lo + batch_size]
-        yb = y[lo:lo + batch_size]
-        trace = nn.forward(graph, params, xb)
-        ce, _ = cross_entropy(trace.logits, yb)
-        total += ce * xb.shape[0]
+    for logits, yb in _batched_logits(graph, params, x, y, batch_size):
+        total += cross_entropy(logits, yb)[0] * yb.shape[0]
     return total / x.shape[0]
 
 
 def evaluate_accuracy(graph: ModelGraph, params: ParamSet, x: np.ndarray,
                       y: np.ndarray, batch_size: int = 512) -> float:
+    """Fraction of a dataset whose top logit is the label."""
     hits = 0
-    for lo in range(0, x.shape[0], batch_size):
-        trace = nn.forward(graph, params, x[lo:lo + batch_size])
-        hits += int((trace.logits.argmax(axis=1) == y[lo:lo + batch_size]).sum())
+    for logits, yb in _batched_logits(graph, params, x, y, batch_size):
+        hits += int((logits.argmax(axis=1) == yb).sum())
     return hits / x.shape[0]
 
 
@@ -359,9 +362,7 @@ def _load_task_data(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
         full = make_synthetic(rng, classes=s.classes,
                               per_class=s.per_class + s.test_per_class,
                               input_dim=s.input_dim, spread=s.spread)
-        train, test = stratified_holdout(full, s.classes * s.test_per_class, rng)
-        return (Dataset(train.samples, train.labels, "train"),
-                Dataset(test.samples, test.labels, "test"))
+        return stratified_holdout(full, s.classes * s.test_per_class, rng)
     if cfg.task == "mnist":
         return load_mnist(cfg.data_dir)
     if cfg.task == "cifar10":
@@ -369,8 +370,7 @@ def _load_task_data(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     if cfg.task == "kws":
         from pathlib import Path
         d = Path(cfg.data_dir)
-        return (load_features(d / "kws_train.fedf", "train"),
-                load_features(d / "kws_test.fedf", "test"))
+        return load_features(d / "kws_train.fedf"), load_features(d / "kws_test.fedf")
     raise ValueError(f"unknown task {cfg.task!r}")
 
 

@@ -233,13 +233,8 @@ def total_loss_and_grads(graph: ModelGraph, x: np.ndarray, y: np.ndarray,
             theta_grads = theta_grads.map(lambda a: c * a)
             site_grads = {k: c * v for k, v in site_grads.items()}
 
-    top = len(graph.layers) - 1
-    if top in site_grads:
-        # The logits site's matching grad folds into the top gradient.
-        logits_grad = logits_grad + site_grads.pop(top)
-
     w_grads = nn.backward(graph, w_local, local_trace, logits_grad,
-                          site_grads=site_grads or None)
+                          site_grads=site_grads)
 
     wd = 0.0
     if settings.use_wd:

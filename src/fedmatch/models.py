@@ -15,9 +15,11 @@ that maps the site-(j+1) activation of the *local* model back to the
 site-j activation of the *round-start* model.  A stage is a chain of
 `LayerSpec`s that mirrors the layers between the two sites in reverse
 order: exactly one learned map (an affine map where the forward chain was
-dense, a stride-1 transposed conv where it was conv), an unflatten
-wherever a flatten sat, and an unpool (replaying the local model's pool
-switches) wherever a pool sat.
+dense, a transposed conv with the conv's kernel size and padding where it
+was conv), an unflatten wherever a flatten sat, and an unpool (replaying
+the local model's pool switches) wherever a pool sat.  Every conv in `nn`
+is stride-1 with a square kernel and padding < kernel, so each mirrored
+conv is the transposed conv that computes the forward conv's dx.
 """
 
 from __future__ import annotations
@@ -173,10 +175,8 @@ def _segment_layers(graph: ModelGraph, lo_site: int, hi_site: int) -> list[Layer
         if spec.kind == "dense":
             layers.append(dense(spec.out_units, spec.in_units))
         elif spec.kind == "conv2d":
-            if spec.stride != 1:
-                raise GraphError("decoder mirroring requires stride-1 convs")
             layers.append(transposed_conv2d(spec.out_channels, spec.in_channels,
-                                            spec.kernel_h, padding=spec.padding))
+                                            spec.kernel, padding=spec.padding))
         elif spec.kind == "flatten":
             layers.append(unflatten(site_shape(graph, i - 1)))
         elif spec.kind == "maxpool2x2":

@@ -8,10 +8,17 @@ the artifact under test, checked against finite differences.
 Conventions:
 
 * every tensor entering `forward` is batched: shape (B, *input_shape);
-* dense weights are (in, out), conv kernels are (out_ch, in_ch, kh, kw),
-  transposed-conv kernels are (in_ch, out_ch, kh, kw);
+* dense weights are (in, out), conv kernels are (out_ch, in_ch, k, k),
+  transposed-conv kernels are (in_ch, out_ch, k, k);
+* conv and transposed-conv layers are stride-1 with square kernels and
+  0 <= padding < kernel, which is all the models and their decoders use.
+  Then each is the other's input gradient: a conv's dx is the transposed
+  conv of its output gradient with the same kernel and padding, and the
+  other way round (Dumoulin & Visin, arXiv:1603.07285);
 * max-pool layers record which corner of each 2x2 window won (the
   "switches"), so the matching decoders can unpool into the right slots.
+  All four pool kernels read or write the window corners through the same
+  strided views (`_corners`).
 
 Memory: every conv forward, transposed-conv forward and conv or
 transposed-conv input gradient is one `_correlate_nhwc` GEMM, run over
@@ -79,9 +86,7 @@ class LayerSpec:
     out_units: int = 0
     in_channels: int = 0
     out_channels: int = 0
-    kernel_h: int = 0
-    kernel_w: int = 0
-    stride: int = 1
+    kernel: int = 0
     padding: int = 0
     pool_layer: int = -1
     shape: tuple[int, ...] = ()
@@ -98,19 +103,11 @@ class LayerSpec:
         elif self.kind in ("conv2d", "transposed_conv2d"):
             if self.in_channels <= 0 or self.out_channels <= 0:
                 raise GraphError(f"{self.kind} needs positive channel counts")
-            if self.kernel_h <= 0 or self.kernel_w <= 0:
-                raise GraphError(f"{self.kind} kernel sizes must be positive")
-            if self.stride <= 0:
-                raise GraphError(f"{self.kind} stride must be positive")
-            if self.padding < 0:
-                raise GraphError(f"{self.kind} padding must be non-negative")
-            if self.kind == "transposed_conv2d":
-                if self.stride != 1:
-                    raise GraphError("transposed_conv2d supports stride 1 only")
-                if self.kernel_h != self.kernel_w:
-                    raise GraphError("transposed_conv2d supports square kernels only")
-                if self.padding > self.kernel_h - 1:
-                    raise GraphError("transposed_conv2d padding must be < kernel size")
+            if self.kernel <= 0:
+                raise GraphError(f"{self.kind} kernel size must be positive")
+            if not 0 <= self.padding < self.kernel:
+                raise GraphError(f"{self.kind} padding {self.padding} must lie in "
+                                 f"[0, kernel {self.kernel})")
 
     @property
     def has_params(self) -> bool:
@@ -125,19 +122,16 @@ def relu() -> LayerSpec:
     return LayerSpec("relu")
 
 
-def conv2d(in_channels: int, out_channels: int, kernel: int | tuple[int, int],
-           stride: int = 1, padding: int = 0) -> LayerSpec:
-    kh, kw = (kernel, kernel) if isinstance(kernel, int) else kernel
+def conv2d(in_channels: int, out_channels: int, kernel: int,
+           padding: int = 0) -> LayerSpec:
     return LayerSpec("conv2d", in_channels=in_channels, out_channels=out_channels,
-                     kernel_h=kh, kernel_w=kw, stride=stride, padding=padding)
+                     kernel=kernel, padding=padding)
 
 
-def transposed_conv2d(in_channels: int, out_channels: int,
-                      kernel: int | tuple[int, int], padding: int = 0) -> LayerSpec:
-    kh, kw = (kernel, kernel) if isinstance(kernel, int) else kernel
+def transposed_conv2d(in_channels: int, out_channels: int, kernel: int,
+                      padding: int = 0) -> LayerSpec:
     return LayerSpec("transposed_conv2d", in_channels=in_channels,
-                     out_channels=out_channels, kernel_h=kh, kernel_w=kw,
-                     padding=padding)
+                     out_channels=out_channels, kernel=kernel, padding=padding)
 
 
 def maxpool2x2() -> LayerSpec:
@@ -190,8 +184,8 @@ def output_shape(spec: LayerSpec, in_shape: tuple[int, ...]) -> tuple[int, ...]:
             raise ShapeError(
                 f"conv2d expects ({spec.in_channels}, H, W), got {in_shape}")
         _, h, w = in_shape
-        oh = (h + 2 * spec.padding - spec.kernel_h) // spec.stride + 1
-        ow = (w + 2 * spec.padding - spec.kernel_w) // spec.stride + 1
+        oh = h + 2 * spec.padding - spec.kernel + 1
+        ow = w + 2 * spec.padding - spec.kernel + 1
         if oh <= 0 or ow <= 0:
             raise ShapeError(f"conv2d kernel does not fit input {in_shape}")
         return (spec.out_channels, oh, ow)
@@ -200,8 +194,8 @@ def output_shape(spec: LayerSpec, in_shape: tuple[int, ...]) -> tuple[int, ...]:
             raise ShapeError(
                 f"transposed_conv2d expects ({spec.in_channels}, H, W), got {in_shape}")
         _, h, w = in_shape
-        oh = h + spec.kernel_h - 1 - 2 * spec.padding
-        ow = w + spec.kernel_w - 1 - 2 * spec.padding
+        oh = h + spec.kernel - 1 - 2 * spec.padding
+        ow = w + spec.kernel - 1 - 2 * spec.padding
         if oh <= 0 or ow <= 0:
             raise ShapeError(f"transposed_conv2d output collapses for {in_shape}")
         return (spec.out_channels, oh, ow)
@@ -319,12 +313,11 @@ def layer_param_shapes(spec: LayerSpec) -> tuple[tuple[int, ...], tuple[int, ...
     """(w, b) shapes of a layer with parameters."""
     if spec.kind == "dense":
         return (spec.in_units, spec.out_units), (spec.out_units,)
+    k = spec.kernel
     if spec.kind == "conv2d":
-        return ((spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w),
-                (spec.out_channels,))
+        return (spec.out_channels, spec.in_channels, k, k), (spec.out_channels,)
     if spec.kind == "transposed_conv2d":
-        return ((spec.in_channels, spec.out_channels, spec.kernel_h, spec.kernel_w),
-                (spec.out_channels,))
+        return (spec.in_channels, spec.out_channels, k, k), (spec.out_channels,)
     raise GraphError(f"layer kind {spec.kind!r} has no parameters")
 
 
@@ -393,30 +386,30 @@ def _pad_nhwc(x: np.ndarray, padding: int) -> np.ndarray:
     return np.pad(x.transpose(0, 2, 3, 1), ((0, 0), (p, p), (p, p), (0, 0)))
 
 
-def _patches(xh: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+def _patches(xh: np.ndarray, k: int) -> np.ndarray:
     """im2col of padded channel-last `xh`: one row per output position,
-    columns ordered (KH, KW, C).
+    columns ordered (K, K, C).
 
     With C innermost the window copy moves contiguous runs of C values;
-    (C, KH, KW) columns taken from NCHW move one value at a time.
+    (C, K, K) columns taken from NCHW move one value at a time.
     """
-    win = sliding_window_view(xh, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    # win: (B, OH, OW, C, KH, KW)
+    win = sliding_window_view(xh, (k, k), axis=(1, 2))
+    # win: (B, OH, OW, C, K, K)
     b, oh, ow, c = win.shape[:4]
-    return win.transpose(0, 1, 2, 4, 5, 3).reshape(b * oh * ow, kh * kw * c)
+    return win.transpose(0, 1, 2, 4, 5, 3).reshape(b * oh * ow, k * k * c)
 
 
-def _correlate_nhwc(xh: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
+def _correlate_nhwc(xh: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Unpadded cross-correlation of channel-last `xh` (B, HP, WP, C) with
-    (O, C, KH, KW) kernels; returns channel-last (B, OH, OW, O).
+    (O, C, K, K) kernels; returns channel-last (B, OH, OW, O).
 
     In whichever of two GEMM forms has the narrower intermediate:
 
-    * C <= O, gather: patches (B*OH*OW, KH*KW*C) @ kernel^T.
+    * C <= O, gather: patches (B*OH*OW, K*K*C) @ kernel^T.
     * C > O, tap-sum: apply the kernel first, xh (B*HP*WP, C) @
-      (C, KH*KW*O), then add the KH*KW shifted taps onto the output grid.
+      (C, K*K*O), then add the K*K shifted taps onto the output grid.
 
-    The patch matrix is KH*KW*C wide and the tap-sum intermediate KH*KW*O,
+    The patch matrix is K*K*C wide and the tap-sum intermediate K*K*O,
     so the channel counts decide.
 
     The GEMM runs over batch slices whose intermediate stays within
@@ -425,112 +418,94 @@ def _correlate_nhwc(xh: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
     The weight gradient (`_conv2d_param_grads`) stays one GEMM: it sums
     over the batch, and slicing would reorder that sum.
     """
-    o, c, kh, kw = w.shape
+    o, c, k = w.shape[:3]
     bsz, hp, wp = xh.shape[:3]
-    oh = (hp - kh) // stride + 1
-    ow = (wp - kw) // stride + 1
+    oh, ow = hp - k + 1, wp - k + 1
     out = np.zeros((bsz, oh, ow, o))
     if c <= o:
         wm = w.transpose(0, 2, 3, 1).reshape(o, -1).T
-        sample_bytes = oh * ow * kh * kw * c * out.itemsize
+        sample_bytes = oh * ow * k * k * c * out.itemsize
     else:
         wm = w.transpose(1, 2, 3, 0).reshape(c, -1)
-        sample_bytes = hp * wp * kh * kw * o * out.itemsize
+        sample_bytes = hp * wp * k * k * o * out.itemsize
     step = max(1, SLICE_BYTES // sample_bytes)
     for lo in range(0, bsz, step):
         xs, ys = xh[lo:lo + step], out[lo:lo + step]
         if c <= o:
-            np.matmul(_patches(xs, kh, kw, stride), wm, out=ys.reshape(-1, o))
+            np.matmul(_patches(xs, k), wm, out=ys.reshape(-1, o))
         else:
-            taps = (xs.reshape(-1, c) @ wm).reshape(xs.shape[0], hp, wp, kh, kw, o)
-            for u in range(kh):
-                for v in range(kw):
-                    ys += taps[:, u:u + stride * (oh - 1) + 1:stride,
-                               v:v + stride * (ow - 1) + 1:stride, u, v]
+            taps = (xs.reshape(-1, c) @ wm).reshape(xs.shape[0], hp, wp, k, k, o)
+            for u in range(k):
+                for v in range(k):
+                    ys += taps[:, u:u + oh, v:v + ow, u, v]
     return out
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
-                   stride: int = 1, padding: int = 0) -> np.ndarray:
-    """Cross-correlation of (B, C, H, W) with (O, C, KH, KW) kernels.
+                   padding: int = 0) -> np.ndarray:
+    """Stride-1 cross-correlation of (B, C, H, W) with (O, C, K, K) kernels.
 
     Runs as one channel-last GEMM (see `_correlate_nhwc`): the gather form
     when C <= O, the tap-sum form when C > O.  The decoder's transposed
     convs and the dx of every channel-widening conv narrow the channels,
     which is where the tap-sum form pays.
     """
-    if x.shape[1] != w.shape[1]:
-        raise ShapeError(f"conv2d input {x.shape} does not match kernel {w.shape}")
-    out = _correlate_nhwc(_pad_nhwc(x, padding), w, stride)
+    if x.shape[1] != w.shape[1] or w.shape[2] != w.shape[3]:
+        raise ShapeError(f"conv2d input {x.shape} does not match square kernel {w.shape}")
+    out = _correlate_nhwc(_pad_nhwc(x, padding), w)
     if b is not None:
         out += b
     return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
 
 
-def _conv2d_param_grads(x: np.ndarray, g: np.ndarray, kh: int, kw: int,
-                        stride: int, padding: int):
+def _conv2d_param_grads(x: np.ndarray, g: np.ndarray, k: int, padding: int):
     """(dw, db) of conv2d: dw = g^T @ patches, db sums g over batch and space."""
     o = g.shape[1]
     gm = g.transpose(0, 2, 3, 1).reshape(-1, o)
-    dw = gm.T @ _patches(_pad_nhwc(x, padding), kh, kw, stride)
-    dw = dw.reshape(o, kh, kw, x.shape[1]).transpose(0, 3, 1, 2)
+    dw = gm.T @ _patches(_pad_nhwc(x, padding), k)
+    dw = dw.reshape(o, k, k, x.shape[1]).transpose(0, 3, 1, 2)
     return np.ascontiguousarray(dw), g.sum(axis=(0, 2, 3))
 
 
 def _tconv_as_conv(w: np.ndarray) -> np.ndarray:
-    # Swap in/out channels and flip spatially: a stride-1 transposed conv is
-    # an ordinary conv with this kernel and padding (K-1-p).  A conv's input
-    # gradient is the transposed conv of g with the conv's own kernel.
+    # Swap in/out channels and flip spatially: a transposed conv is an
+    # ordinary conv with this kernel and padding K-1-p.
     return np.ascontiguousarray(w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
 
 
-def conv2d_backward(x: np.ndarray, w: np.ndarray, g: np.ndarray,
-                    stride: int = 1, padding: int = 0):
-    """Returns (dw, db, dx) for the conv2d above. g is (B, O, OH, OW).
+def _tconv_param_grads(x: np.ndarray, g: np.ndarray, k: int, padding: int):
+    """(dw, db) of transposed_conv2d: those of its equivalent conv, with
+    the kernel transform (an involution) mapping dw back."""
+    dwc, db = _conv2d_param_grads(x, g, k, k - 1 - padding)
+    return _tconv_as_conv(dwc), db
 
-    dw is one GEMM over the forward's patches.  dx is a convolution too:
-    g, placed on every stride-th point of a zero grid padded by K-1, is
-    correlated with the channel-swapped, flipped kernel (the transposed
-    conv).  The grid spans the padded input; only the window that yields
-    the unpadded input's rows and columns is convolved, so one path serves
-    every stride and padding.
+
+def conv2d_backward(x: np.ndarray, w: np.ndarray, g: np.ndarray, padding: int = 0):
+    """Returns (dw, db, dx) for the conv2d above. g is (B, O, H', W').
+
+    dw is one GEMM over the forward's patches; dx is the transposed conv
+    of g with the same kernel and padding.
     """
-    bsz, _, h, wd = x.shape
-    o, _, kh, kw = w.shape
-    oh, ow = g.shape[2], g.shape[3]
-    dw, db = _conv2d_param_grads(x, g, kh, kw, stride, padding)
-    grid = np.zeros((bsz, h + 2 * padding + kh - 1, wd + 2 * padding + kw - 1, o))
-    grid[:, kh - 1:kh - 1 + stride * (oh - 1) + 1:stride,
-         kw - 1:kw - 1 + stride * (ow - 1) + 1:stride] = g.transpose(0, 2, 3, 1)
-    grid = grid[:, padding:padding + h + kh - 1, padding:padding + wd + kw - 1]
-    dx = _correlate_nhwc(grid, _tconv_as_conv(w), 1)
-    return dw, db, np.ascontiguousarray(dx.transpose(0, 3, 1, 2))
+    dw, db = _conv2d_param_grads(x, g, w.shape[2], padding)
+    return dw, db, transposed_conv2d_forward(g, w, None, padding=padding)
 
 
 def transposed_conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
                               padding: int = 0) -> np.ndarray:
     """Stride-1 transposed convolution; w is (C_in, C_out, K, K).
 
-    Implemented via the identity: a stride-1 transposed conv with padding p
-    equals an ordinary conv with channel-swapped, spatially flipped kernels
-    and padding K-1-p.
+    Runs as the ordinary conv with channel-swapped, spatially flipped
+    kernels and padding K-1-p.
     """
-    k = w.shape[2]
-    if w.shape[3] != k:
-        raise ShapeError("transposed_conv2d supports square kernels only")
-    return conv2d_forward(x, _tconv_as_conv(w), b, stride=1, padding=k - 1 - padding)
+    return conv2d_forward(x, _tconv_as_conv(w), b, padding=w.shape[2] - 1 - padding)
 
 
 def transposed_conv2d_backward(x: np.ndarray, w: np.ndarray, g: np.ndarray,
                                padding: int = 0):
-    """Returns (dw, db, dx) for the stride-1 transposed conv."""
-    k = w.shape[2]
-    if w.shape[3] != k:
-        raise ShapeError("transposed_conv2d supports square kernels only")
-    dwc, db, dx = conv2d_backward(x, _tconv_as_conv(w), g, stride=1,
-                                  padding=k - 1 - padding)
-    # The kernel transform is an involution, so it also maps dwc back.
-    return _tconv_as_conv(dwc), db, dx
+    """Returns (dw, db, dx) for the transposed conv; dx is the conv of g
+    with the same kernel and padding."""
+    dw, db = _tconv_param_grads(x, g, w.shape[2], padding)
+    return dw, db, conv2d_forward(g, w, None, padding=padding)
 
 
 def _corners(x: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -570,11 +545,11 @@ def unpool2x2_forward(x: np.ndarray, switches: np.ndarray) -> np.ndarray:
     if x.shape != switches.shape:
         raise ShapeError(
             f"unpool2x2 input {x.shape} must match switches {switches.shape}")
-    b, c, oh, ow = x.shape
-    win = np.zeros((b, c, oh, ow, 4), dtype=x.dtype)
-    np.put_along_axis(win, switches[..., None].astype(np.intp), x[..., None], axis=-1)
-    return win.reshape(b, c, oh, ow, 2, 2).transpose(0, 1, 2, 4, 3, 5) \
-        .reshape(b, c, 2 * oh, 2 * ow)
+    b, c, h, w = x.shape
+    out = np.zeros((b, c, 2 * h, 2 * w), dtype=x.dtype)
+    for s, corner in enumerate(_corners(out)):
+        np.copyto(corner, x, where=switches == s)
+    return out
 
 
 def unpool2x2_backward(g: np.ndarray, switches: np.ndarray) -> np.ndarray:
@@ -623,8 +598,7 @@ def layer_forward(spec: LayerSpec, i: int, x: np.ndarray, params: Mapping[str, n
     if spec.kind == "relu":
         return relu_forward(x)
     if spec.kind == "conv2d":
-        return conv2d_forward(x, params[f"{i}.w"], params[f"{i}.b"],
-                              stride=spec.stride, padding=spec.padding)
+        return conv2d_forward(x, params[f"{i}.w"], params[f"{i}.b"], padding=spec.padding)
     if spec.kind == "transposed_conv2d":
         return transposed_conv2d_forward(x, params[f"{i}.w"], params[f"{i}.b"],
                                          padding=spec.padding)
@@ -655,7 +629,7 @@ def layer_backward(spec: LayerSpec, i: int, x: np.ndarray, g: np.ndarray,
         return relu_backward(x, g)
     if spec.kind == "conv2d":
         grads[f"{i}.w"], grads[f"{i}.b"], dx = conv2d_backward(
-            x, params[f"{i}.w"], g, stride=spec.stride, padding=spec.padding)
+            x, params[f"{i}.w"], g, padding=spec.padding)
         return dx
     if spec.kind == "transposed_conv2d":
         grads[f"{i}.w"], grads[f"{i}.b"], dx = transposed_conv2d_backward(
@@ -692,11 +666,8 @@ def _layer0_param_grads(spec: LayerSpec, x: np.ndarray, g: np.ndarray):
     if spec.kind == "dense":
         return x.T @ g, g.sum(axis=0)
     if spec.kind == "conv2d":
-        return _conv2d_param_grads(x, g, spec.kernel_h, spec.kernel_w,
-                                   spec.stride, spec.padding)
-    k = spec.kernel_h
-    dwc, db = _conv2d_param_grads(x, g, k, k, 1, k - 1 - spec.padding)
-    return _tconv_as_conv(dwc), db
+        return _conv2d_param_grads(x, g, spec.kernel, spec.padding)
+    return _tconv_param_grads(x, g, spec.kernel, spec.padding)
 
 
 def backward(graph: ModelGraph, params: ParamSet, trace: ForwardTrace,

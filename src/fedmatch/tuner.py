@@ -224,23 +224,14 @@ def score(grid: HyperGrid, dist: HyperDist, h: np.ndarray) -> np.ndarray:
     per axis.  The grid-restricted score subtracts the probability-weighted
     average of the same quantity over all grid points.
     """
-    h = np.asarray(h, dtype=np.float64)
-    grid.locate(h)  # raises when h is off the grid
+    i = grid.locate(h)  # raises when h is off the grid
     p = grid_probs(grid, dist)
-    pts = grid.points()
     a = dist.precision
-
-    def gauss_grad(x: np.ndarray) -> np.ndarray:
-        diff = x - dist.mu
-        gmu = a * diff
-        glp = 0.5 - 0.5 * a * diff * diff
-        return np.stack([gmu, glp])
-
-    diff = pts - dist.mu
+    diff = grid.points() - dist.mu
     gmu_all = a * diff                      # (size, D)
     glp_all = 0.5 - 0.5 * a * diff * diff   # (size, D)
     expected = np.stack([p @ gmu_all, p @ glp_all])
-    return gauss_grad(h) - expected
+    return np.stack([gmu_all[i], glp_all[i]]) - expected
 
 
 def reward(loss_before: float, loss_after: float) -> float:

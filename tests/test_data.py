@@ -72,7 +72,6 @@ class TestIdx:
         assert test.samples.shape == (16, 784)
         assert train.samples.dtype == np.float64
         assert train.samples.min() >= 0.0 and train.samples.max() <= 1.0
-        assert train.split == "train" and test.split == "test"
 
     def test_load_mnist_missing_file(self, tmp_path):
         make_mnist_dir(tmp_path)
@@ -142,12 +141,12 @@ class TestCifar:
 class TestFeatureContainer:
     def _dataset(self, n=12):
         rng = np.random.default_rng(2)
-        return Dataset(rng.random((n, 1, 32, 32)), rng.integers(0, 10, n), "train")
+        return Dataset(rng.random((n, 1, 32, 32)), rng.integers(0, 10, n))
 
     def test_roundtrip(self, tmp_path):
         ds = self._dataset()
         write_features(tmp_path / "f.fedf", ds)
-        back = load_features(tmp_path / "f.fedf", "train")
+        back = load_features(tmp_path / "f.fedf")
         assert back.samples.shape == ds.samples.shape
         assert np.array_equal(back.labels, ds.labels)
         # float32 storage: agreement to single precision
@@ -236,11 +235,11 @@ class TestStratifiedHoldout:
         with pytest.raises(ValueError):
             stratified_holdout(ds, 10, np.random.default_rng(0))
 
-    def test_subset_keeps_split_tag(self):
+    def test_subset_is_stratified(self):
         ds = make_synthetic(np.random.default_rng(0), classes=5, per_class=40,
-                            input_dim=8, split="train")
+                            input_dim=8)
         sub = stratified_subset(ds, 60, np.random.default_rng(1))
-        assert sub.n == 60 and sub.split == "train"
+        assert np.array_equal(np.bincount(sub.labels), np.full(5, 12))
 
 
 class TestPartitions:

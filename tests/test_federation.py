@@ -5,12 +5,14 @@ import pytest
 
 from fedmatch import nn, seeding
 from fedmatch.config import from_dict
+from fedmatch.data import Dataset, write_features
 from fedmatch.federation import (
     ClientState,
     SampledHypers,
     _batch_indices,
     _schedule_lr,
     aggregate,
+    evaluate_accuracy,
     evaluate_loss,
     run_experiment,
     run_round,
@@ -250,6 +252,26 @@ class TestScheduleLr:
         cfg = make_cfg({"rounds": 2, "schedule": {"initial_lr": 0.2}})
         assert _schedule_lr(cfg, 1) == pytest.approx(0.2)
         assert _schedule_lr(cfg, 2) == pytest.approx(0.2)
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("evaluate", [evaluate_loss, evaluate_accuracy])
+    def test_empty_set_is_a_value_error(self, evaluate):
+        graph = tiny_graph()
+        params = nn.init_params(graph, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="empty set"):
+            evaluate(graph, params, np.zeros((0, 8)), np.zeros(0, dtype=np.int64))
+
+    def test_kws_run_with_an_empty_test_file_names_the_empty_set(self, tmp_path):
+        rng = np.random.default_rng(0)
+        y = np.arange(24) % 4
+        write_features(tmp_path / "kws_train.fedf", Dataset(rng.random((24, 1, 32, 32)), y))
+        write_features(tmp_path / "kws_test.fedf",
+                       Dataset(np.zeros((0, 1, 32, 32)), np.zeros(0, dtype=np.int64)))
+        cfg = make_cfg({"task": "kws", "data_dir": str(tmp_path), "n_clients": 2,
+                        "validation_size": 4})
+        with pytest.raises(ValueError, match="empty set"):
+            run_experiment(cfg)
 
 
 class TestRounds:

@@ -50,18 +50,18 @@ class TestForwardAgainstReferences:
         got = nn.dense_forward(x, w, b)
         assert np.allclose(got, oracles.dense_ref(x, w, b), atol=1e-12)
 
-    # Kernels are (O, C, KH, KW); C <= O takes the gather form, C > O the
-    # tap-sum form.
-    @pytest.mark.parametrize("stride,padding,w_shape", [
-        (1, 0, (4, 3, 3, 3)), (1, 2, (4, 3, 3, 3)), (2, 1, (4, 3, 3, 3)),
-        (1, 1, (2, 5, 3, 3)), (2, 1, (2, 5, 3, 3)), (2, 2, (2, 5, 3, 2)),
-    ], ids=["1-0", "1-2", "2-1", "1-1-c5o2", "2-1-c5o2", "2-2-c5o2k3x2"])
-    def test_conv2d_matches_loop_reference(self, stride, padding, w_shape):
+    # Kernels are (O, C, K, K); C <= O takes the gather form, C > O the
+    # tap-sum form.  Ids read stride-padding, and the stride is always 1.
+    @pytest.mark.parametrize("padding,w_shape", [
+        (0, (4, 3, 3, 3)), (1, (4, 3, 3, 3)), (2, (4, 3, 3, 3)),
+        (1, (2, 5, 3, 3)), (2, (2, 5, 3, 3)),
+    ], ids=["1-0", "1-1", "1-2", "1-1-c5o2", "1-2-c5o2"])
+    def test_conv2d_matches_loop_reference(self, padding, w_shape):
         x = RNG.normal(size=(2, w_shape[1], 8, 8))
         w = RNG.normal(size=w_shape)
         b = RNG.normal(size=w_shape[0])
-        got = nn.conv2d_forward(x, w, b, stride=stride, padding=padding)
-        want = oracles.conv2d_ref(x, w, b, stride=stride, padding=padding)
+        got = nn.conv2d_forward(x, w, b, padding=padding)
+        want = oracles.conv2d_ref(x, w, b, padding=padding)
         assert got.shape == want.shape
         assert np.allclose(got, want, atol=1e-12)
 
@@ -139,16 +139,16 @@ class TestForwardAgainstReferences:
             nn.unpool2x2_forward(x, sw)
 
 
-# kind: (x shape, kernel shape, stride, padding).  Conv kernels are
+# kind: (x shape, kernel shape, padding).  Conv kernels are
 # (O, C, K, K), transposed-conv kernels (C, O, K, K); each case runs its
 # forward in one GEMM form and its dx in the other.  Their per-sample GEMM
 # intermediates are 5-14 kB, so a 16 kB budget cuts the 7-sample batch
 # into four to seven slices.
 SLICED_CONVS = {
-    "conv-c3o4": ("conv", (7, 3, 6, 6), (4, 3, 3, 3), 1, 1),
-    "conv-c5o2-s2": ("conv", (7, 5, 7, 7), (2, 5, 3, 3), 2, 1),
-    "tconv-c4o3": ("tconv", (7, 4, 5, 5), (4, 3, 3, 3), 1, 1),
-    "tconv-c2o4": ("tconv", (7, 2, 5, 5), (2, 4, 3, 3), 1, 0),
+    "conv-c3o4": ("conv", (7, 3, 6, 6), (4, 3, 3, 3), 1),
+    "conv-c5o2": ("conv", (7, 5, 7, 7), (2, 5, 3, 3), 1),
+    "tconv-c4o3": ("tconv", (7, 4, 5, 5), (4, 3, 3, 3), 1),
+    "tconv-c2o4": ("tconv", (7, 2, 5, 5), (2, 4, 3, 3), 0),
 }
 
 
@@ -157,33 +157,31 @@ class TestBatchSlicing:
     intermediate; a slice boundary must not change a byte."""
 
     @staticmethod
-    def _forward(kind, x, w, stride, padding):
+    def _forward(kind, x, w, padding):
         if kind == "conv":
-            return nn.conv2d_forward(x, w, np.ones(w.shape[0]), stride=stride,
-                                     padding=padding)
+            return nn.conv2d_forward(x, w, np.ones(w.shape[0]), padding=padding)
         return nn.transposed_conv2d_forward(x, w, np.ones(w.shape[1]), padding=padding)
 
     @staticmethod
-    def _dx(kind, x, w, g, stride, padding):
+    def _dx(kind, x, w, g, padding):
         if kind == "conv":
-            return nn.conv2d_backward(x, w, g, stride=stride, padding=padding)[2]
+            return nn.conv2d_backward(x, w, g, padding=padding)[2]
         return nn.transposed_conv2d_backward(x, w, g, padding=padding)[2]
 
     @pytest.mark.parametrize("budget", [1, 16_000], ids=["1B", "16kB"])
     @pytest.mark.parametrize("case", sorted(SLICED_CONVS))
     def test_sliced_batch_equals_per_sample_calls(self, case, budget, monkeypatch):
-        kind, x_shape, w_shape, stride, padding = SLICED_CONVS[case]
+        kind, x_shape, w_shape, padding = SLICED_CONVS[case]
         rng = np.random.default_rng(3)
         x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
         monkeypatch.setattr(nn, "SLICE_BYTES", budget)
-        y = self._forward(kind, x, w, stride, padding)
+        y = self._forward(kind, x, w, padding)
         g = rng.normal(size=y.shape)
-        dx = self._dx(kind, x, w, g, stride, padding)
+        dx = self._dx(kind, x, w, g, padding)
         # A single sample is a single slice under any budget.
         samples = range(x.shape[0])
-        y_parts = [self._forward(kind, x[i:i + 1], w, stride, padding) for i in samples]
-        dx_parts = [self._dx(kind, x[i:i + 1], w, g[i:i + 1], stride, padding)
-                    for i in samples]
+        y_parts = [self._forward(kind, x[i:i + 1], w, padding) for i in samples]
+        dx_parts = [self._dx(kind, x[i:i + 1], w, g[i:i + 1], padding) for i in samples]
         assert y.tobytes() == np.concatenate(y_parts).tobytes()
         assert dx.tobytes() == np.concatenate(dx_parts).tobytes()
 
@@ -234,22 +232,22 @@ class TestBackwardAgainstFiniteDifferences:
 
         self._check(fwd, bwd, arrays, ("x", "w", "b"))
 
-    @pytest.mark.parametrize("stride,padding,w_shape", [
-        (1, 0, (4, 3, 3, 3)), (1, 2, (4, 3, 3, 3)), (2, 1, (4, 3, 3, 3)),
-        (2, 1, (2, 5, 3, 3)), (2, 2, (2, 5, 3, 2)),
-    ], ids=["1-0", "1-2", "2-1", "2-1-c5o2", "2-2-c5o2k3x2"])
-    def test_conv2d_backward(self, stride, padding, w_shape):
+    @pytest.mark.parametrize("padding,w_shape", [
+        (0, (4, 3, 3, 3)), (1, (4, 3, 3, 3)), (2, (4, 3, 3, 3)),
+        (1, (2, 5, 3, 3)), (2, (2, 5, 3, 3)),
+    ], ids=["1-0", "1-1", "1-2", "1-1-c5o2", "1-2-c5o2"])
+    def test_conv2d_backward(self, padding, w_shape):
         arrays = {"x": RNG.normal(size=(2, w_shape[1], 6, 6)),
                   "w": RNG.normal(size=w_shape),
                   "b": RNG.normal(size=w_shape[0])}
 
         def fwd():
             return nn.conv2d_forward(arrays["x"], arrays["w"], arrays["b"],
-                                     stride=stride, padding=padding)
+                                     padding=padding)
 
         def bwd(g):
             dw, db, dx = nn.conv2d_backward(arrays["x"], arrays["w"], g,
-                                            stride=stride, padding=padding)
+                                            padding=padding)
             return {"x": dx, "w": dw, "b": db}
 
         self._check(fwd, bwd, arrays, ("x", "w", "b"))
@@ -441,12 +439,16 @@ class TestGraphValidation:
         with pytest.raises(GraphError):
             dense(0, 5)
         with pytest.raises(GraphError):
-            conv2d(1, 1, 3, stride=0)
-        with pytest.raises(GraphError):
-            nn.LayerSpec("transposed_conv2d", in_channels=1, out_channels=1,
-                         kernel_h=3, kernel_w=3, stride=2)
+            conv2d(1, 1, 0)
         with pytest.raises(GraphError):
             nn.LayerSpec("wiggle")
+
+    @pytest.mark.parametrize("factory", [conv2d, transposed_conv2d])
+    @pytest.mark.parametrize("padding", [-1, 3, 4])
+    def test_conv_padding_must_lie_below_the_kernel(self, factory, padding):
+        assert factory(1, 1, 3, padding=2).padding == 2
+        with pytest.raises(GraphError, match="padding"):
+            factory(1, 1, 3, padding=padding)
 
     @pytest.mark.parametrize("shape", [(), (0, 4), (3, -2)])
     def test_unflatten_needs_a_positive_shape(self, shape):
