@@ -51,13 +51,15 @@ class TestForwardAgainstReferences:
         assert np.allclose(got, oracles.dense_ref(x, w, b), atol=1e-12)
 
     # Kernels are (O, C, K, K); C <= O takes the gather form, C > O the
-    # tap-sum form.  Ids read stride-padding, and the stride is always 1.
-    @pytest.mark.parametrize("padding,w_shape", [
-        (0, (4, 3, 3, 3)), (1, (4, 3, 3, 3)), (2, (4, 3, 3, 3)),
-        (1, (2, 5, 3, 3)), (2, (2, 5, 3, 3)),
-    ], ids=["1-0", "1-1", "1-2", "1-1-c5o2", "1-2-c5o2"])
-    def test_conv2d_matches_loop_reference(self, padding, w_shape):
-        x = RNG.normal(size=(2, w_shape[1], 8, 8))
+    # tap-sum form.  Ids read stride-padding, and the stride is always 1;
+    # inputs are 8x8 unless the id names another size.
+    @pytest.mark.parametrize("padding,w_shape,hw", [
+        (0, (4, 3, 3, 3), (8, 8)), (1, (4, 3, 3, 3), (8, 8)),
+        (2, (4, 3, 3, 3), (8, 8)), (1, (2, 5, 3, 3), (8, 8)),
+        (2, (2, 5, 3, 3), (8, 8)), (1, (2, 5, 3, 3), (7, 9)),
+    ], ids=["1-0", "1-1", "1-2", "1-1-c5o2", "1-2-c5o2", "1-1-c5o2-x7x9"])
+    def test_conv2d_matches_loop_reference(self, padding, w_shape, hw):
+        x = RNG.normal(size=(2, w_shape[1], *hw))
         w = RNG.normal(size=w_shape)
         b = RNG.normal(size=w_shape[0])
         got = nn.conv2d_forward(x, w, b, padding=padding)
