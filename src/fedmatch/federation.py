@@ -6,13 +6,18 @@ from the broadcast parameters, aggregate the deltas, evaluate the
 validation loss, score the reward, and update the tuning distribution.
 
 Clients can run serially or on a thread pool; results reduce in client-id
-order either way, so both paths are bitwise identical.  Every random draw
-comes from a named substream of the experiment seed (see `seeding`), which
-pins the whole run, including the bytes of its metrics files.
+order either way, so both paths are bitwise identical.  The pool is never
+wider than the cores that each client's BLAS threads leave free.  Every
+random draw comes from a named substream of the experiment seed (see
+`seeding`), which pins the whole run, including the bytes of its metrics
+files.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -239,7 +244,7 @@ def _batched_logits(graph: ModelGraph, params: ParamSet, x: np.ndarray,
     if x.shape[0] == 0:
         raise ValueError("cannot evaluate on an empty set")
     for lo in range(0, x.shape[0], batch_size):
-        yield nn.forward(graph, params, x[lo:lo + batch_size]).logits, y[lo:lo + batch_size]
+        yield nn.forward_logits(graph, params, x[lo:lo + batch_size]), y[lo:lo + batch_size]
 
 
 def evaluate_loss(graph: ModelGraph, params: ParamSet, x: np.ndarray,
@@ -265,6 +270,64 @@ def _schedule_lr(cfg: ExperimentConfig, t: int) -> float:
     stage_len = max(1, cfg.rounds // 3)
     stage = min((t - 1) // stage_len, 2) if cfg.rounds >= 3 else 0
     return cfg.schedule.initial_lr * (0.5 ** stage)
+
+
+# Thread-count getters of OpenBLAS builds: the plain name, and the
+# 64-bit-integer build that numpy wheels bundle.
+_BLAS_THREAD_GETTERS = ("openblas_get_num_threads", "scipy_openblas_get_num_threads64_")
+
+
+@functools.cache
+def _blas_thread_getter():
+    """ctypes getter of the loaded OpenBLAS's thread count, or None.
+
+    Finds the library in this process's memory map, so it is the copy
+    numpy loaded, wherever it lives.  Never sets the count: the bytes of a
+    GEMM can depend on it.
+    """
+    try:
+        with open("/proc/self/maps") as f:
+            mapped = (line.split(maxsplit=5) for line in f)
+            paths = sorted({m[5].strip() for m in mapped
+                            if len(m) > 5 and "openblas" in m[5].lower()})
+    except OSError:  # no /proc: not Linux
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_THREAD_GETTERS:
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.argtypes = []
+                getter.restype = ctypes.c_int
+                return getter
+    return None
+
+
+def _blas_threads() -> int | None:
+    """Threads the loaded OpenBLAS runs each GEMM on; None if unknown."""
+    getter = _blas_thread_getter()
+    return None if getter is None else int(getter())
+
+
+def _cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pool_width(parallel_clients: int, blas_threads: int | None, cores: int) -> int:
+    """Client threads to run at once.
+
+    Each client's GEMMs already run on `blas_threads` threads, so more
+    clients than `cores // blas_threads` only oversubscribe the cores.
+    With the BLAS thread count unknown, `parallel_clients` stands.
+    """
+    if blas_threads is None:
+        return parallel_clients
+    return min(parallel_clients, max(1, cores // blas_threads))
 
 
 def run_round(server: ServerState, clients: list[ClientState],
@@ -301,8 +364,9 @@ def run_round(server: ServerState, clients: list[ClientState],
         return train_client(clients[cid], server.params, arch.graph, decoder,
                             hypers, settings, cfg.batch_size, crng)
 
-    if cfg.parallel_clients > 1 and len(selected) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.parallel_clients) as pool:
+    workers = _pool_width(cfg.parallel_clients, _blas_threads(), _cores())
+    if workers > 1 and len(selected) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(work, selected))
     else:
         results = [work(cid) for cid in selected]
@@ -442,6 +506,11 @@ def run_experiment(cfg: ExperimentConfig, sink=None,
     `progress` is an optional callable(str) for status lines.
     """
     server, clients, arch, decoder, test = setup_experiment(cfg)
+    if progress is not None:
+        blas, cores = _blas_threads(), _cores()
+        progress(f"client pool: {_pool_width(cfg.parallel_clients, blas, cores)} "
+                 f"thread(s) (parallel_clients {cfg.parallel_clients}, BLAS threads "
+                 f"{'unknown' if blas is None else blas}, cores {cores})")
     records: list[RoundRecord] = []
     evals: list[EvalRecord] = []
 

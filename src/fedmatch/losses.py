@@ -225,7 +225,10 @@ def total_loss_and_grads(graph: ModelGraph, x: np.ndarray, y: np.ndarray,
     if settings.use_matching:
         if decoder is None or theta is None:
             raise ValueError("matching term enabled but decoder/theta missing")
-        fixed_trace = nn.forward(graph, w_round, x)
+        # On a client's first step the local params are the broadcast, so
+        # the local trace already is the fixed one.
+        fixed_trace = (local_trace if w_local is w_round
+                       else nn.forward(graph, w_round, x))
         match_val, stage_data = matching_loss(local_trace, fixed_trace, decoder, theta)
         theta_grads, site_grads = matching_backward(decoder, theta, stage_data)
         if settings.matching_coeff != 1.0:

@@ -644,21 +644,41 @@ def layer_backward(spec: LayerSpec, i: int, x: np.ndarray, g: np.ndarray,
     raise GraphError(f"unknown layer kind {spec.kind!r}")  # pragma: no cover
 
 
-def forward(graph: ModelGraph, params: ParamSet, x: np.ndarray) -> ForwardTrace:
-    """Run the graph on a batch, keeping every intermediate activation."""
+def _checked_input(graph: ModelGraph, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1:] != graph.input_shape:
         raise ShapeError(
             f"input shape {x.shape[1:]} does not match graph input {graph.input_shape}")
     _check_finite("input", x)
-    outputs: list[np.ndarray] = []
-    switches: dict[int, np.ndarray] = {}
+    return x
+
+
+def _layer_outputs(graph: ModelGraph, params: ParamSet, x: np.ndarray,
+                   switches: dict[int, np.ndarray]):
+    """Yield each layer's finite-checked output in turn, holding only the
+    current one; maxpools record their switches in `switches`."""
     cur = x
     for i, spec in enumerate(graph.layers):
         cur = layer_forward(spec, i, cur, params, switches)
         _check_finite(f"layer {i} ({spec.kind}) output", cur)
-        outputs.append(cur)
-    return ForwardTrace(x=x, outputs=tuple(outputs), switches=switches)
+        yield cur
+
+
+def forward(graph: ModelGraph, params: ParamSet, x: np.ndarray) -> ForwardTrace:
+    """Run the graph on a batch, keeping every intermediate activation."""
+    x = _checked_input(graph, x)
+    switches: dict[int, np.ndarray] = {}
+    outputs = tuple(_layer_outputs(graph, params, x, switches))
+    return ForwardTrace(x=x, outputs=outputs, switches=switches)
+
+
+def forward_logits(graph: ModelGraph, params: ParamSet, x: np.ndarray) -> np.ndarray:
+    """Run the graph on a batch for its logits alone: each activation is
+    freed once the next layer has consumed it."""
+    cur = _checked_input(graph, x)
+    for cur in _layer_outputs(graph, params, cur, {}):
+        pass
+    return cur
 
 
 def _layer0_param_grads(spec: LayerSpec, x: np.ndarray, g: np.ndarray):

@@ -1,15 +1,25 @@
 """Round mechanics: selection, local SGD, aggregation, full runs."""
 
+import json
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from fedmatch import nn, seeding
+from fedmatch import federation, nn, seeding
+from fedmatch.cli import main
 from fedmatch.config import from_dict
 from fedmatch.data import Dataset, write_features
 from fedmatch.federation import (
     ClientState,
     SampledHypers,
     _batch_indices,
+    _blas_threads,
+    _pool_width,
     _schedule_lr,
     aggregate,
     evaluate_accuracy,
@@ -21,6 +31,7 @@ from fedmatch.federation import (
     train_client,
 )
 from fedmatch.losses import LossSettings
+from fedmatch.metrics import MetricsSink
 from fedmatch.models import build_arch, build_matching_decoder
 from fedmatch.nn import ModelGraph, ParamSet, dense, relu
 
@@ -164,6 +175,28 @@ class TestTrainClient:
         assert not params_equal(res.theta, theta0)
         assert res.losses.matching > 0.0
 
+    def test_first_step_reuses_the_local_trace_as_the_fixed_one(self, monkeypatch):
+        arch = build_arch("mnist_mlp")
+        decoder, theta = build_matching_decoder(arch, np.random.default_rng(3))
+        rng = np.random.default_rng(4)
+        client = ClientState(client_id=0, x=rng.normal(size=(20, 784)) * 0.1,
+                             y=rng.integers(0, 10, 20), theta=theta)
+        w = nn.init_params(arch.graph, np.random.default_rng(5))
+        calls = []
+        real_forward = nn.forward
+
+        def counted(*args):
+            calls.append(args[1])
+            return real_forward(*args)
+
+        monkeypatch.setattr(nn, "forward", counted)
+        train_client(client, w, arch.graph, decoder,
+                     SampledHypers(lr=0.05, iterations=2),
+                     LossSettings(use_matching=True), 16, np.random.default_rng(6))
+        # step 1: local (= fixed); step 2: local, then fixed at the broadcast
+        assert len(calls) == 3
+        assert calls[0] is w and calls[1] is not w and calls[2] is w
+
 
 class TestAggregate:
     def _setup(self):
@@ -272,6 +305,84 @@ class TestEvaluate:
                         "validation_size": 4})
         with pytest.raises(ValueError, match="empty set"):
             run_experiment(cfg)
+
+
+class TestClientPool:
+    @pytest.mark.parametrize("parallel, blas, cores, width", [
+        (4, None, 2, 4),  # BLAS thread count unknown: parallel_clients stands
+        (2, 1, 2, 2),
+        (4, 1, 2, 2),
+        (2, 2, 2, 1),
+        (1, 1, 2, 1),
+        (4, 8, 2, 1),  # more BLAS threads than cores
+        (8, 2, 16, 8),
+    ])
+    def test_pool_width_leaves_each_client_its_blas_threads(self, parallel, blas,
+                                                            cores, width):
+        assert _pool_width(parallel, blas, cores) == width
+
+    def test_probe_reads_the_blas_thread_count_from_the_environment(self):
+        if _blas_threads() is None:
+            pytest.skip("no OpenBLAS thread-count getter in this process")
+        src = Path(federation.__file__).resolve().parents[1]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "from fedmatch import federation; print(federation._blas_threads())"],
+            env=env, capture_output=True, text=True, timeout=60, check=True)
+        assert out.stdout.strip() == "1"
+
+    def test_forced_pool_trains_on_several_threads_with_serial_bytes(
+            self, monkeypatch, tmp_path):
+        def rounds_bytes(tag, parallel):
+            with MetricsSink(tmp_path / tag) as sink:
+                run_experiment(make_cfg({"parallel_clients": parallel,
+                                         "use_matching": True}), sink=sink)
+            return (tmp_path / tag / "rounds.jsonl").read_bytes()
+
+        serial = rounds_bytes("serial", 1)
+        monkeypatch.setattr(federation, "_pool_width", lambda *args: 2)
+        threads = set()
+        lock = threading.Lock()
+        running = [0, 0]  # now, most at once
+        # Each client waits for a partner, so the pool must run two at once.
+        pair = threading.Barrier(2, timeout=30)
+        real_train = federation.train_client
+
+        def paired(*args):
+            with lock:
+                threads.add(threading.get_ident())
+                running[0] += 1
+                running[1] = max(running)
+            try:
+                pair.wait()
+                return real_train(*args)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        monkeypatch.setattr(federation, "train_client", paired)
+        pooled = rounds_bytes("pooled", 4)
+        assert len(threads) >= 2
+        assert running[1] == 2  # the width, not parallel_clients
+        assert pooled == serial
+
+    def test_run_names_the_pool_on_stderr_only(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        out = tmp_path / "run"
+        cfg_path.write_text(json.dumps({**BASE, "rounds": 1, "parallel_clients": 3,
+                                        "output_dir": str(out)}))
+        assert main(["run", str(cfg_path)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        blas = _blas_threads()
+        cores = federation._cores()
+        assert err[0] == (
+            f"client pool: {_pool_width(3, blas, cores)} thread(s) (parallel_clients 3, "
+            f"BLAS threads {'unknown' if blas is None else blas}, cores {cores})")
+        for name in ("rounds.jsonl", "evals.jsonl", "config.json"):
+            assert "client pool" not in (out / name).read_text()
 
 
 class TestRounds:
