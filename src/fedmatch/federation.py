@@ -510,7 +510,8 @@ def run_experiment(cfg: ExperimentConfig, sink=None,
         blas, cores = _blas_threads(), _cores()
         progress(f"client pool: {_pool_width(cfg.parallel_clients, blas, cores)} "
                  f"thread(s) (parallel_clients {cfg.parallel_clients}, BLAS threads "
-                 f"{'unknown' if blas is None else blas}, cores {cores})")
+                 f"{'unknown' if blas is None else blas}, cores {cores}); "
+                 f"heap reuse {'on' if nn.HEAP_REUSE else 'unavailable'}")
     records: list[RoundRecord] = []
     evals: list[EvalRecord] = []
 

@@ -31,10 +31,23 @@ whatever the row count, so slicing changes no byte there.  Two products
 are not sliced: a conv's weight gradient sums over the batch, so slicing
 would reorder that sum, and a dense layer's GEMM (e.g. 1024 -> 10)
 rounds differently at every slice size.
+
+Freed blocks stay in the malloc heap (`_keep_freed_blocks`, on import).
+glibc otherwise maps every block of 32 MiB or more straight from the
+kernel and unmaps it on free, and trims the heap top, so each training
+step re-faulted and the kernel re-zeroed its large blocks: the conv
+weight-gradient patch matrices (151-210 MB at B=32), the 33.5 MB
+4096x1024 dense weights and the channel-last conv outputs.  That was a
+median 4.6k (kws_cnn) and 9.5k (cifar_cnn) minor page faults per B=32
+step; with both thresholds raised to 1 GiB the next step reuses those
+pages and takes 0-4.  The cost is that the resident set stays at its
+high-water mark instead of shrinking after a peak.  Where a block lives
+changes no byte of any result.
 """
 
 from __future__ import annotations
 
+import ctypes
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -254,10 +267,6 @@ class ParamSet(Mapping):
                 raise ShapeError(
                     f"tensor {k!r} shape mismatch: {self[k].shape} vs {other[k].shape}")
 
-    def allclose(self, other: "ParamSet", rtol: float = 1e-12, atol: float = 0.0) -> bool:
-        self.check_structure(other)
-        return all(np.allclose(self[k], other[k], rtol=rtol, atol=atol) for k in self)
-
 
 def sgd_step(params: ParamSet, grads: ParamSet, lr: float) -> ParamSet:
     """One vanilla SGD step: params - lr * grads, as a new ParamSet."""
@@ -378,6 +387,31 @@ def relu_backward(x: np.ndarray, g: np.ndarray) -> np.ndarray:
 # Largest GEMM intermediate (im2col patches or tap-sum taps) that one batch
 # slice of a conv may build; see `_correlate_nhwc`.
 SLICE_BYTES = 8 << 20
+
+# glibc `mallopt` parameters (malloc.h) and the size below which freed
+# blocks stay in the heap; see the module docstring.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_KEEP_BYTES = 1 << 30
+
+
+def _keep_freed_blocks(libc=None) -> bool:
+    """Ask glibc to keep freed blocks under 1 GiB in the heap; True if it did.
+
+    A C library without `mallopt` (not glibc), or one that refuses a
+    setting, leaves the allocator as it was; nothing is raised.
+    """
+    try:
+        mallopt = (ctypes.CDLL(None) if libc is None else libc).mallopt
+    except (OSError, TypeError, AttributeError):  # TypeError: no CDLL(None)
+        return False
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    return all(mallopt(param, _HEAP_KEEP_BYTES) == 1
+               for param in (_M_MMAP_THRESHOLD, _M_TRIM_THRESHOLD))
+
+
+# Whether freed large blocks stay in the heap, for the run's progress line.
+HEAP_REUSE = _keep_freed_blocks()
 
 
 def _pad_nhwc(x: np.ndarray, padding: int) -> np.ndarray:

@@ -380,9 +380,11 @@ class TestClientPool:
         cores = federation._cores()
         assert err[0] == (
             f"client pool: {_pool_width(3, blas, cores)} thread(s) (parallel_clients 3, "
-            f"BLAS threads {'unknown' if blas is None else blas}, cores {cores})")
+            f"BLAS threads {'unknown' if blas is None else blas}, cores {cores}); "
+            f"heap reuse {'on' if nn.HEAP_REUSE else 'unavailable'}")
         for name in ("rounds.jsonl", "evals.jsonl", "config.json"):
-            assert "client pool" not in (out / name).read_text()
+            text = (out / name).read_text()
+            assert "client pool" not in text and "heap reuse" not in text
 
 
 class TestRounds:

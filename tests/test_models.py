@@ -163,7 +163,8 @@ class TestDecoderWiring:
         _, t1 = build_matching_decoder(arch, np.random.default_rng(3))
         _, t2 = build_matching_decoder(arch, np.random.default_rng(3))
         _, t3 = build_matching_decoder(arch, np.random.default_rng(4))
-        assert t1.allclose(t2, rtol=0.0)
+        assert list(t1) == list(t2)
+        assert all(np.array_equal(t1[k], t2[k]) for k in t1)
         assert not np.array_equal(t1["1.w"], t3["1.w"])
 
     def test_decoder_biases_start_at_zero(self):

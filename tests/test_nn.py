@@ -2,7 +2,10 @@
 rules against central finite differences, and the structural contracts
 (shapes, switches, parameter bookkeeping, error paths)."""
 
+import ctypes
+import resource
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -205,6 +208,66 @@ def test_kws_validation_forward_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 260e6, f"peak {peak / 1e6:.0f} MB"
+
+
+class _MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+        "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+
+def _mallinfo2():
+    """glibc's mallinfo2 (2.33 and later); skips the test elsewhere."""
+    try:
+        fn = ctypes.CDLL(None).mallinfo2
+    except (OSError, TypeError, AttributeError):
+        pytest.skip("needs glibc's mallinfo2")
+    fn.restype = _MallInfo2
+    return fn
+
+
+def _minor_faults() -> int:
+    who = getattr(resource, "RUSAGE_THREAD", resource.RUSAGE_SELF)
+    return resource.getrusage(who).ru_minflt
+
+
+class TestHeapReuse:
+    BIG = 8 << 20  # float64 elements: 64 MiB, over glibc's 32 MiB mmap cap
+
+    def test_import_keeps_large_blocks_in_the_heap(self):
+        mallinfo2 = _mallinfo2()
+        assert nn.HEAP_REUSE
+        mapped = mallinfo2().hblkhd
+        a = np.ones(self.BIG)
+        # Without the setting the block is its own mmap: hblkhd grows by 64 MiB.
+        assert mallinfo2().hblkhd == mapped
+        del a
+
+    def test_a_freed_block_is_reused_without_page_faults(self):
+        _mallinfo2()
+        a = np.ones(self.BIG)
+        del a
+        before = _minor_faults()
+        a = np.ones(self.BIG)
+        faults = _minor_faults() - before
+        del a
+        # A fresh mapping faults once per page: 32 times at 2 MiB huge
+        # pages, 16384 at 4 KiB.
+        assert faults < 16, faults
+
+    @pytest.mark.parametrize("libc", [
+        SimpleNamespace(),  # no mallopt, as on macOS
+        SimpleNamespace(mallopt=lambda param, value: 0),  # refused
+        SimpleNamespace(mallopt=lambda param, value: int(param == -3)),  # half taken
+    ])
+    def test_an_allocator_that_refuses_the_setting_reports_it_unapplied(self, libc):
+        assert nn._keep_freed_blocks(libc) is False
+
+    def test_both_thresholds_are_raised(self):
+        calls = []
+        libc = SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)) or 1)
+        assert nn._keep_freed_blocks(libc) is True
+        assert sorted(calls) == [(-3, 1 << 30), (-1, 1 << 30)]
 
 
 class TestBackwardAgainstFiniteDifferences:
