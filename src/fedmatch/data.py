@@ -64,10 +64,6 @@ class Dataset:
     def n(self) -> int:
         return int(self.labels.shape[0])
 
-    @property
-    def n_classes(self) -> int:
-        return int(self.labels.max()) + 1 if self.labels.size else 0
-
     def subset(self, indices: np.ndarray) -> "Dataset":
         return Dataset(self.samples[indices], self.labels[indices])
 

@@ -281,28 +281,21 @@ _BLAS_THREAD_GETTERS = ("openblas_get_num_threads", "scipy_openblas_get_num_thre
 def _blas_thread_getter():
     """ctypes getter of the loaded OpenBLAS's thread count, or None.
 
-    Finds the library in this process's memory map, so it is the copy
-    numpy loaded, wherever it lives.  Never sets the count: the bytes of a
-    GEMM can depend on it.
+    Looks the getter up through numpy's linalg extension: a symbol lookup
+    on its handle also searches the libraries it links, so it finds the
+    OpenBLAS copy numpy loaded, wherever it lives.  Never sets the count:
+    the bytes of a GEMM can depend on it.
     """
     try:
-        with open("/proc/self/maps") as f:
-            mapped = (line.split(maxsplit=5) for line in f)
-            paths = sorted({m[5].strip() for m in mapped
-                            if len(m) > 5 and "openblas" in m[5].lower()})
-    except OSError:  # no /proc: not Linux
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):  # a numpy without that extension file
         return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in _BLAS_THREAD_GETTERS:
-            getter = getattr(lib, name, None)
-            if getter is not None:
-                getter.argtypes = []
-                getter.restype = ctypes.c_int
-                return getter
+    for name in _BLAS_THREAD_GETTERS:
+        getter = getattr(lib, name, None)
+        if getter is not None:
+            getter.argtypes = []
+            getter.restype = ctypes.c_int
+            return getter
     return None
 
 
@@ -370,7 +363,6 @@ def run_round(server: ServerState, clients: list[ClientState],
             results = list(pool.map(work, selected))
     else:
         results = [work(cid) for cid in selected]
-    results.sort(key=lambda r: r.client_id)
 
     # 4. aggregate and persist decoder params
     new_params = aggregate(server.params, results, server.total_datapoints,
@@ -537,7 +529,7 @@ def run_experiment(cfg: ExperimentConfig, sink=None,
         if t % cfg.eval_every == 0:
             run_eval(t)
 
-    if cfg.rounds % cfg.eval_every == 0 and cfg.rounds > 0:
+    if cfg.rounds % cfg.eval_every == 0:
         final_acc = evals[-1].test_accuracy
     else:
         final_acc = evaluate_accuracy(arch.graph, server.params,

@@ -51,14 +51,6 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     return loss, grad / b
 
 
-def predict(logits: np.ndarray) -> np.ndarray:
-    return logits.argmax(axis=1)
-
-
-def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
-    return float((predict(logits) == labels).mean())
-
-
 def er_loss(logits: np.ndarray, min_entropy: float):
     """Entropy-floor hinge, mean over the batch, with logits gradient.
 
@@ -145,7 +137,7 @@ def matching_loss(local_trace: ForwardTrace, fixed_trace: ForwardTrace,
     return total, stage_data
 
 
-def matching_backward(decoder: MatchingDecoder, theta: ParamSet, stage_data):
+def matching_backward(theta: ParamSet, stage_data):
     """Gradients of the matching loss.
 
     Returns (theta_grads: ParamSet, site_grads: dict layer index -> grad of
@@ -230,7 +222,7 @@ def total_loss_and_grads(graph: ModelGraph, x: np.ndarray, y: np.ndarray,
         fixed_trace = (local_trace if w_local is w_round
                        else nn.forward(graph, w_round, x))
         match_val, stage_data = matching_loss(local_trace, fixed_trace, decoder, theta)
-        theta_grads, site_grads = matching_backward(decoder, theta, stage_data)
+        theta_grads, site_grads = matching_backward(theta, stage_data)
         if settings.matching_coeff != 1.0:
             c = settings.matching_coeff
             theta_grads = theta_grads.map(lambda a: c * a)

@@ -137,8 +137,7 @@ def export_trajectory(run_dir: str | Path, out_path: str | Path | None = None) -
 def build_table(run_dirs: list[str | Path]) -> list[dict]:
     """Group runs by config (ignoring seed) and aggregate final accuracy.
 
-    Runs grouped together must agree exactly on the stripped config; a
-    mismatch means the caller passed incomparable runs and is an error.
+    Runs share a group exactly when their stripped configs are equal.
     Std is the sample standard deviation (ddof=1); a single run reports 0.
     """
     if not run_dirs:
@@ -150,13 +149,9 @@ def build_table(run_dirs: list[str | Path]) -> list[dict]:
             raise FileNotFoundError(f"{rd} has no summary.json (run incomplete?)")
         stripped = strip_identity(run["config"])
         key = json.dumps(stripped, sort_keys=True)
-        g = groups.setdefault(key, {"config": stripped, "accuracies": [],
-                                    "seeds": [], "dirs": []})
-        if g["config"] != stripped:
-            raise ValueError(f"config mismatch within a table group for {rd}")
+        g = groups.setdefault(key, {"config": stripped, "accuracies": [], "seeds": []})
         g["accuracies"].append(run["summary"]["final_test_accuracy"])
         g["seeds"].append(run["config"].get("seed"))
-        g["dirs"].append(str(rd))
     rows = []
     for g in groups.values():
         accs = g["accuracies"]

@@ -51,7 +51,6 @@ ARCH_NAMES = ("mnist_mlp", "cifar_cnn", "kws_cnn")
 class ModelArch:
     name: str
     graph: ModelGraph
-    n_classes: int
 
 
 def build_arch(name: str) -> ModelArch:
@@ -91,7 +90,7 @@ def build_arch(name: str) -> ModelArch:
         )
     else:
         raise GraphError(f"unknown architecture {name!r}; expected one of {ARCH_NAMES}")
-    return ModelArch(name=name, graph=graph, n_classes=10)
+    return ModelArch(name=name, graph=graph)
 
 
 def arch_for_task(task: str) -> str:
@@ -152,7 +151,6 @@ class MatchStage:
 class MatchingDecoder:
     """All stages plus which pool switches each one replays."""
 
-    arch_name: str
     stages: tuple[MatchStage, ...]
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
@@ -181,10 +179,6 @@ def _segment_layers(graph: ModelGraph, lo_site: int, hi_site: int) -> list[Layer
             layers.append(unflatten(site_shape(graph, i - 1)))
         elif spec.kind == "maxpool2x2":
             layers.append(unpool2x2(i))
-        elif spec.kind == "relu":
-            raise GraphError(
-                f"relu at layer {i} sits between matching sites; sites must "
-                f"cover every pointwise nonlinearity")
         else:
             raise GraphError(f"cannot mirror layer kind {spec.kind!r} in a decoder")
     n_maps = sum(spec.has_params for spec in layers)
@@ -193,19 +187,6 @@ def _segment_layers(graph: ModelGraph, lo_site: int, hi_site: int) -> list[Layer
             f"segment ({lo_site}, {hi_site}] yields {n_maps} learned maps; "
             f"expected exactly one per stage")
     return layers
-
-
-def _stage_output_shape(graph: ModelGraph, stage: MatchStage,
-                        in_shape: tuple[int, ...]) -> tuple[int, ...]:
-    cur = in_shape
-    for spec in stage.layers:
-        if spec.kind == "unpool2x2":
-            pool_out = graph.layer_shapes[spec.pool_layer]
-            if cur != pool_out:
-                raise nn.ShapeError(
-                    f"stage {stage.index}: unpool expects {pool_out}, got {cur}")
-        cur = nn.output_shape(spec, cur)
-    return cur
 
 
 def build_matching_decoder(arch: ModelArch, rng: np.random.Generator,
@@ -227,14 +208,16 @@ def build_matching_decoder(arch: ModelArch, rng: np.random.Generator,
         lo, hi = sites[k], sites[k + 1]
         stage = MatchStage(index=k + 1, source_site=hi, target_site=lo,
                            layers=tuple(_segment_layers(graph, lo, hi)))
-        got = _stage_output_shape(graph, stage, site_shape(graph, hi))
+        got = site_shape(graph, hi)
+        for spec in stage.layers:
+            got = nn.output_shape(spec, got)
         want = site_shape(graph, lo)
         if got != want:
             raise nn.ShapeError(
                 f"stage {stage.index} of {arch.name} rebuilds shape {got}, "
                 f"but site {lo} has shape {want}")
         stages.append(stage)
-    decoder = MatchingDecoder(arch_name=arch.name, stages=tuple(stages))
+    decoder = MatchingDecoder(stages=tuple(stages))
     tensors: dict[str, np.ndarray] = {}
     for st in decoder.stages:
         tensors.update(nn.init_layer_params(st.map_spec, st.index, rng))

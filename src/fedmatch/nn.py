@@ -17,8 +17,9 @@ Conventions:
   other way round (Dumoulin & Visin, arXiv:1603.07285);
 * max-pool layers record which corner of each 2x2 window won (the
   "switches"), so the matching decoders can unpool into the right slots.
-  All four pool kernels read or write the window corners through the same
-  strided views (`_corners`).
+  Unpool layers run only in decoder stages, which replay the model's
+  switches; a `ModelGraph` rejects them.  All four pool kernels read or
+  write the window corners through the same strided views (`_corners`).
 
 Memory: every conv forward, transposed-conv forward and conv or
 transposed-conv input gradient is one `_correlate_nhwc` GEMM, run over
@@ -289,19 +290,10 @@ class ModelGraph:
     def __post_init__(self) -> None:
         if not self.layers:
             raise GraphError("a graph needs at least one layer")
+        if any(spec.kind == "unpool2x2" for spec in self.layers):
+            raise GraphError("unpool2x2 layers run only in decoder stages")
         # Force a full shape walk now so invalid chains fail at build time.
-        shapes = self.layer_shapes
-        for i, spec in enumerate(self.layers):
-            if spec.kind == "unpool2x2":
-                j = spec.pool_layer
-                if not (0 <= j < i) or self.layers[j].kind != "maxpool2x2":
-                    raise GraphError(
-                        f"unpool2x2 at layer {i} must reference an earlier maxpool2x2")
-                in_shape = shapes[i - 1] if i > 0 else self.input_shape
-                pool_out = shapes[j]
-                if in_shape != pool_out:
-                    raise ShapeError(
-                        f"unpool2x2 at layer {i} expects shape {pool_out}, got {in_shape}")
+        self.layer_shapes
 
     @cached_property
     def layer_shapes(self) -> tuple[tuple[int, ...], ...]:

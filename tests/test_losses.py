@@ -151,7 +151,7 @@ class TestMatchingLoss:
         from fedmatch.models import MatchStage, MatchingDecoder
         stage = MatchStage(index=1, source_site=0, target_site=-1,
                            layers=(dense(3, 3),))
-        decoder = MatchingDecoder(arch_name="tiny", stages=(stage,))
+        decoder = MatchingDecoder(stages=(stage,))
         w = ParamSet({"0.w": np.eye(3), "0.b": np.zeros(3)})
         theta = ParamSet({"1.w": np.eye(3), "1.b": np.zeros(3)})
         x = RNG.normal(size=(4, 3))
@@ -180,7 +180,7 @@ class TestMatchingLoss:
                 return matching_loss(local, fixed, decoder, theta)[0]
 
             _, data = matching_loss(local, fixed, decoder, theta)
-            tgrads, _ = matching_backward(decoder, theta, data)
+            tgrads, _ = matching_backward(theta, data)
             pick = np.random.default_rng(1)
             for key in keys:
                 idx = pick.choice(theta[key].size, size=min(n, theta[key].size),

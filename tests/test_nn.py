@@ -454,15 +454,14 @@ class TestGraphForwardBackward:
             nn.backward(graph, params, trace, np.zeros((2, 2)),
                         site_grads={key: np.ones((2, 4))})
 
-    def test_in_graph_unpool_uses_own_switches(self):
-        graph = ModelGraph(
-            input_shape=(1, 4, 4),
-            layers=(maxpool2x2(), unpool2x2(pool_layer=0)),
-        )
-        x = RNG.normal(size=(2, 1, 4, 4))
-        trace = nn.forward(graph, ParamSet({}), x)
-        want = oracles.unpool_ref(*oracles.maxpool_ref(x))
-        assert np.array_equal(trace.outputs[1], want)
+    @pytest.mark.parametrize("layers", [
+        (maxpool2x2(), unpool2x2(pool_layer=0)),
+        (unpool2x2(pool_layer=1), maxpool2x2()),
+    ], ids=["after_its_pool", "before_its_pool"])
+    def test_graph_rejects_unpool(self, layers):
+        # Unpools run only in decoder stages, which replay the model's switches.
+        with pytest.raises(GraphError, match="decoder stages"):
+            ModelGraph((1, 4, 4), layers)
 
     def test_unpool_layer_must_follow_its_pool(self):
         with pytest.raises(GraphError):

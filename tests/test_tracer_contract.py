@@ -1,8 +1,10 @@
-"""perfbench's tracer reaches into the program by name: it rebinds the
+"""perfbench reaches into the program by name: its tracer rebinds the
 (module, attribute) pairs in `TARGETS` and computes each kernel's FLOPs
-from the kernel's own arguments.  These checks import the tracer without
-writing anything next to it, so a rename or a signature change in the
-program fails here instead of silently skewing the per-layer metrics."""
+from the kernel's own arguments, and its workloads build the program's
+state and drive `federation.run_round` with fixed arguments.  These checks
+import perfbench's modules without writing anything next to them, so a
+rename or a signature change in the program fails here instead of
+silently skewing the per-layer metrics or failing only the benchmark."""
 
 import importlib.util
 import inspect
@@ -12,22 +14,33 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedmatch import nn
+from fedmatch import federation, nn
 from fedmatch.nn import ModelGraph, conv2d, dense, flatten, relu, transposed_conv2d
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
     saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
         spec.loader.exec_module(module)
     finally:
         sys.dont_write_bytecode = saved
     return module
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    return _load("tracer")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("workloads")
 
 
 def test_every_target_exists(tracer):
@@ -66,3 +79,19 @@ def test_traced_conv_flops_follow_the_layer_shapes(tracer):
         "nn.transposed_conv2d_forward": 2 * b * 3 * 4 * k * k * hw,
         "nn.transposed_conv2d_backward": 4 * (b * 4 * hw) * 3 * k * k,
     }
+
+
+# kws_wd is left out: its inputs are feature files written under perfbench's
+# output directory.
+@pytest.mark.parametrize("name", ["mlp_tuned_p2", "cifar_match"])
+def test_workload_setup_feeds_run_round(workloads, name):
+    wl = workloads.WORKLOADS[name]
+    cfg = wl.make_config(1)
+    state = wl.setup(cfg, wl.make_inputs(1, cfg))
+    # perfbench calls run_round(server, clients, arch, decoder, cfg).
+    inspect.signature(federation.run_round).bind(*state, cfg)
+    server, clients, _arch, decoder = state
+    assert isinstance(server, federation.ServerState)
+    assert all(isinstance(c, federation.ClientState) for c in clients)
+    assert decoder is not None and all(c.theta is not None for c in clients)
+    assert np.isfinite(server.current_loss)
