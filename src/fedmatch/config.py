@@ -18,7 +18,7 @@ from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
-from .losses import LossSettings
+from .losses import LossConfig
 from .models import arch_for_task
 from .tuner import HyperAxis, HyperGrid, default_grid
 
@@ -48,15 +48,6 @@ class ScheduleConfig:
 
     initial_lr: float = 0.1
     iterations: int = 30
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    matching_coeff: float = 1.0
-    wd_coeff: float = 0.1
-    min_entropy: float = 0.5
-    use_er: bool = True
-    match_input_site: bool = True
 
 
 @dataclass(frozen=True)
@@ -95,16 +86,6 @@ class ExperimentConfig:
     @property
     def arch_name(self) -> str:
         return arch_for_task(self.task)
-
-    def loss_settings(self) -> LossSettings:
-        return LossSettings(
-            use_matching=self.use_matching,
-            use_wd=self.use_wd,
-            use_er=self.loss.use_er,
-            matching_coeff=self.loss.matching_coeff,
-            wd_coeff=self.loss.wd_coeff,
-            min_entropy=self.loss.min_entropy,
-        )
 
     def hyper_grid(self) -> HyperGrid:
         if self.tuner.axes is not None:
@@ -146,11 +127,11 @@ def _value(kind, v, label: str):
             raise ConfigError(f"{label} must be an object, got {v!r}")
         return _parse_section(kind, v, label)
     if isinstance(kind, UnionType):  # `X | None`
-        kind = get_args(kind)[0]
-        if get_origin(kind) is tuple:  # tuner.axes, where null is no grid
-            return _parse_axes(v, label)
         if v is None:
             return None
+        kind = get_args(kind)[0]
+        if get_origin(kind) is tuple:  # tuner.axes
+            return _parse_axes(v, label)
     if kind is float:
         return _number(v, label)
     if not isinstance(v, kind) or (isinstance(v, bool) and kind is not bool):

@@ -284,13 +284,6 @@ class Partition:
         if allidx.size != np.unique(allidx).size:
             raise ValueError("client shards overlap")
 
-    @property
-    def n_clients(self) -> int:
-        return len(self.client_indices)
-
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(int(ix.size) for ix in self.client_indices)
-
 
 def partition_iid(n_samples: int, n_clients: int,
                   rng: np.random.Generator) -> Partition:

@@ -37,8 +37,8 @@ from .data import (
     stratified_holdout,
     stratified_subset,
 )
-from .losses import LossBreakdown, LossSettings, cross_entropy, total_loss_and_grads
-from .models import MatchingDecoder, ModelArch, build_arch, build_matching_decoder
+from .losses import LossBreakdown, cross_entropy, total_loss_and_grads
+from .models import MatchStage, ModelArch, build_arch, build_matching_decoder
 from .nn import ModelGraph, ParamSet
 from .tuner import (
     HyperDist,
@@ -181,11 +181,12 @@ def _batch_indices(n: int, batch_size: int, iterations: int,
 
 
 def train_client(client: ClientState, w_round: ParamSet, graph: ModelGraph,
-                 decoder: MatchingDecoder | None, hypers: SampledHypers,
-                 settings: LossSettings, batch_size: int,
-                 rng: np.random.Generator) -> ClientResult:
+                 decoder: tuple[MatchStage, ...] | None, hypers: SampledHypers,
+                 cfg: ExperimentConfig, rng: np.random.Generator) -> ClientResult:
     """Run local SGD from the broadcast parameters.
 
+    The objective follows `cfg.loss` and `cfg.use_wd`, with matching on
+    exactly when `decoder` is given; batches have `cfg.batch_size` samples.
     Model and decoder parameters step together at the sampled rate.  The
     returned breakdown is from the last iteration (the loss the client
     ended on).
@@ -194,13 +195,13 @@ def train_client(client: ClientState, w_round: ParamSet, graph: ModelGraph,
     theta = client.theta
     breakdown = None
     short = False
-    for idx, is_short in _batch_indices(client.n_samples, batch_size,
+    for idx, is_short in _batch_indices(client.n_samples, cfg.batch_size,
                                         hypers.iterations, rng):
         short = short or is_short
         xb = client.x[idx]
         yb = client.y[idx]
         breakdown, w_grads, theta_grads = total_loss_and_grads(
-            graph, xb, yb, w, w_round, decoder, theta, settings)
+            graph, xb, yb, w, w_round, decoder, theta, cfg.loss, cfg.use_wd)
         w = nn.sgd_step(w, w_grads, hypers.lr)
         if theta_grads is not None:
             theta = nn.sgd_step(theta, theta_grads, hypers.lr)
@@ -238,29 +239,36 @@ def aggregate(w_round: ParamSet, results: list[ClientResult],
     return ParamSet(new)
 
 
+# Samples per evaluation forward.  It bounds the memory of a validation or
+# test pass, and it is part of the result: a dense layer's GEMM bytes
+# depend on its row count, so changing it changes the recorded losses.
+EVAL_BATCH = 512
+
+
 def _batched_logits(graph: ModelGraph, params: ParamSet, x: np.ndarray,
-                    y: np.ndarray, batch_size: int):
-    """(logits, labels) of consecutive batches of at most `batch_size`."""
+                    y: np.ndarray):
+    """(logits, labels) of consecutive batches of at most `EVAL_BATCH`."""
     if x.shape[0] == 0:
         raise ValueError("cannot evaluate on an empty set")
-    for lo in range(0, x.shape[0], batch_size):
-        yield nn.forward_logits(graph, params, x[lo:lo + batch_size]), y[lo:lo + batch_size]
+    for lo in range(0, x.shape[0], EVAL_BATCH):
+        hi = lo + EVAL_BATCH
+        yield nn.forward_logits(graph, params, x[lo:hi]), y[lo:hi]
 
 
 def evaluate_loss(graph: ModelGraph, params: ParamSet, x: np.ndarray,
-                  y: np.ndarray, batch_size: int = 512) -> float:
+                  y: np.ndarray) -> float:
     """Mean cross-entropy over a dataset, batched to bound memory."""
     total = 0.0
-    for logits, yb in _batched_logits(graph, params, x, y, batch_size):
+    for logits, yb in _batched_logits(graph, params, x, y):
         total += cross_entropy(logits, yb)[0] * yb.shape[0]
     return total / x.shape[0]
 
 
 def evaluate_accuracy(graph: ModelGraph, params: ParamSet, x: np.ndarray,
-                      y: np.ndarray, batch_size: int = 512) -> float:
+                      y: np.ndarray) -> float:
     """Fraction of a dataset whose top logit is the label."""
     hits = 0
-    for logits, yb in _batched_logits(graph, params, x, y, batch_size):
+    for logits, yb in _batched_logits(graph, params, x, y):
         hits += int((logits.argmax(axis=1) == yb).sum())
     return hits / x.shape[0]
 
@@ -324,12 +332,11 @@ def _pool_width(parallel_clients: int, blas_threads: int | None, cores: int) -> 
 
 
 def run_round(server: ServerState, clients: list[ClientState],
-              arch: ModelArch, decoder: MatchingDecoder | None,
+              arch: ModelArch, decoder: tuple[MatchStage, ...] | None,
               cfg: ExperimentConfig) -> RoundRecord:
     """Advance the federation by one synchronous round (in place)."""
     t = server.round + 1
     start = time.perf_counter()
-    settings = cfg.loss_settings()
 
     # 1. hyper-parameters for this round
     if cfg.use_tuner:
@@ -355,7 +362,7 @@ def run_round(server: ServerState, clients: list[ClientState],
     def work(cid: int) -> ClientResult:
         crng = seeding.substream(cfg.seed, seeding.CLIENT_TRAIN, t, cid)
         return train_client(clients[cid], server.params, arch.graph, decoder,
-                            hypers, settings, cfg.batch_size, crng)
+                            hypers, cfg, crng)
 
     workers = _pool_width(cfg.parallel_clients, _blas_threads(), _cores())
     if workers > 1 and len(selected) > 1:
@@ -466,9 +473,9 @@ def setup_experiment(cfg: ExperimentConfig):
         theta = None
         if cfg.use_matching:
             drng = seeding.substream(cfg.seed, seeding.INIT_DECODER, k)
-            decoder_k, theta = build_matching_decoder(
+            # The stages are the same for every client; theta is its own.
+            decoder, theta = build_matching_decoder(
                 arch, drng, include_input_site=cfg.loss.match_input_site)
-            decoder = decoder_k  # same structure for every client
         clients.append(ClientState(client_id=k, x=train.samples[idx],
                                    y=train.labels[idx], theta=theta))
 

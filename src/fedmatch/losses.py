@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .models import MatchingDecoder, MatchStage
+from .models import MatchStage
 from .nn import ForwardTrace, ModelGraph, ParamSet
 
 
@@ -110,7 +110,7 @@ def _stage_backward(stage: MatchStage, theta: ParamSet, cache, g: np.ndarray,
 
 
 def matching_loss(local_trace: ForwardTrace, fixed_trace: ForwardTrace,
-                  decoder: MatchingDecoder, theta: ParamSet):
+                  decoder: tuple[MatchStage, ...], theta: ParamSet):
     """Total reconstruction error across stages, plus per-stage caches.
 
     Each stage feeds on the *local* model's source-site activation and is
@@ -123,7 +123,7 @@ def matching_loss(local_trace: ForwardTrace, fixed_trace: ForwardTrace,
     """
     total = 0.0
     stage_data = []
-    for stage in decoder.stages:
+    for stage in decoder:
         src = local_trace.site_output(stage.source_site)
         target = fixed_trace.site_output(stage.target_site)
         out, cache = _stage_forward(stage, theta, src, local_trace)
@@ -166,19 +166,14 @@ def matching_backward(theta: ParamSet, stage_data):
 
 
 @dataclass(frozen=True)
-class LossSettings:
-    """Which terms are active and their weights."""
+class LossConfig:
+    """The `loss` section of the experiment config: term weights and switches."""
 
-    use_matching: bool = False
-    use_wd: bool = False
-    use_er: bool = True
     matching_coeff: float = 1.0
     wd_coeff: float = 0.1
     min_entropy: float = 0.5  # nats
-
-    def __post_init__(self) -> None:
-        if self.use_matching and self.use_wd:
-            raise ValueError("matching and weight-divergence terms are exclusive")
+    use_er: bool = True
+    match_input_site: bool = True
 
 
 @dataclass(frozen=True)
@@ -194,37 +189,41 @@ class LossBreakdown:
 
 def total_loss_and_grads(graph: ModelGraph, x: np.ndarray, y: np.ndarray,
                          w_local: ParamSet, w_round: ParamSet,
-                         decoder: MatchingDecoder | None, theta: ParamSet | None,
-                         settings: LossSettings):
+                         decoder: tuple[MatchStage, ...] | None,
+                         theta: ParamSet | None, loss: LossConfig,
+                         use_wd: bool = False):
     """Evaluate the full objective on one batch.
 
-    Returns (breakdown, w_grads, theta_grads); theta_grads is None when the
-    matching term is off.  `w_round` supplies both the fixed activations
-    for matching and the anchor for weight divergence.
+    The matching term runs exactly when `decoder` is given, and then needs
+    its parameters `theta`; the weight-divergence term runs when `use_wd`.
+    The config rejects both at once.  Returns (breakdown, w_grads,
+    theta_grads); theta_grads is None without a decoder.  `w_round`
+    supplies both the fixed activations for matching and the anchor for
+    weight divergence.
     """
     local_trace = nn.forward(graph, w_local, x)
     logits = local_trace.logits
     ce, logits_grad = cross_entropy(logits, y)
 
     er = 0.0
-    if settings.use_er:
-        er, er_grad = er_loss(logits, settings.min_entropy)
+    if loss.use_er:
+        er, er_grad = er_loss(logits, loss.min_entropy)
         logits_grad = logits_grad + er_grad
 
     match_val = 0.0
     theta_grads = None
     site_grads: dict[int, np.ndarray] = {}
-    if settings.use_matching:
-        if decoder is None or theta is None:
-            raise ValueError("matching term enabled but decoder/theta missing")
+    if decoder is not None:
+        if theta is None:
+            raise ValueError("a matching decoder needs its parameters theta")
         # On a client's first step the local params are the broadcast, so
         # the local trace already is the fixed one.
         fixed_trace = (local_trace if w_local is w_round
                        else nn.forward(graph, w_round, x))
         match_val, stage_data = matching_loss(local_trace, fixed_trace, decoder, theta)
         theta_grads, site_grads = matching_backward(theta, stage_data)
-        if settings.matching_coeff != 1.0:
-            c = settings.matching_coeff
+        if loss.matching_coeff != 1.0:
+            c = loss.matching_coeff
             theta_grads = theta_grads.map(lambda a: c * a)
             site_grads = {k: c * v for k, v in site_grads.items()}
 
@@ -232,12 +231,11 @@ def total_loss_and_grads(graph: ModelGraph, x: np.ndarray, y: np.ndarray,
                           site_grads=site_grads)
 
     wd = 0.0
-    if settings.use_wd:
+    if use_wd:
         wd, wd_grads = wd_loss(w_round, w_local)
-        w_grads = w_grads.zip_with(wd_grads, lambda g, d: g + settings.wd_coeff * d)
+        w_grads = w_grads.zip_with(wd_grads, lambda g, d: g + loss.wd_coeff * d)
 
-    total = (ce + settings.matching_coeff * match_val + er
-             + settings.wd_coeff * wd)
+    total = ce + loss.matching_coeff * match_val + er + loss.wd_coeff * wd
     breakdown = LossBreakdown(cross_entropy=ce, matching=match_val, er=er,
                               wd=wd, total=total)
     return breakdown, w_grads, theta_grads

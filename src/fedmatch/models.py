@@ -147,19 +147,6 @@ class MatchStage:
         raise GraphError(f"stage {self.index} has no learned map")
 
 
-@dataclass(frozen=True)
-class MatchingDecoder:
-    """All stages plus which pool switches each one replays."""
-
-    stages: tuple[MatchStage, ...]
-
-    def param_shapes(self) -> dict[str, tuple[int, ...]]:
-        out: dict[str, tuple[int, ...]] = {}
-        for st in self.stages:
-            out[f"{st.index}.w"], out[f"{st.index}.b"] = nn.layer_param_shapes(st.map_spec)
-        return out
-
-
 def _segment_layers(graph: ModelGraph, lo_site: int, hi_site: int) -> list[LayerSpec]:
     """Reverse the forward chain (lo_site, hi_site] into decoder layers."""
     chain = list(range(lo_site + 1, hi_site + 1))
@@ -191,10 +178,10 @@ def _segment_layers(graph: ModelGraph, lo_site: int, hi_site: int) -> list[Layer
 
 def build_matching_decoder(arch: ModelArch, rng: np.random.Generator,
                            include_input_site: bool = True
-                           ) -> tuple[MatchingDecoder, ParamSet]:
+                           ) -> tuple[tuple[MatchStage, ...], ParamSet]:
     """Build the decoder structure for `arch` and draw initial parameters.
 
-    Returns (decoder, theta).  The structure is deterministic; theta uses
+    Returns (stages, theta).  The structure is deterministic; theta uses
     the same uniform fan-in init as model layers, drawn stage by stage in
     order, so a fixed generator gives fixed parameters.
 
@@ -217,8 +204,7 @@ def build_matching_decoder(arch: ModelArch, rng: np.random.Generator,
                 f"stage {stage.index} of {arch.name} rebuilds shape {got}, "
                 f"but site {lo} has shape {want}")
         stages.append(stage)
-    decoder = MatchingDecoder(stages=tuple(stages))
     tensors: dict[str, np.ndarray] = {}
-    for st in decoder.stages:
+    for st in stages:
         tensors.update(nn.init_layer_params(st.map_spec, st.index, rng))
-    return decoder, ParamSet(tensors)
+    return tuple(stages), ParamSet(tensors)

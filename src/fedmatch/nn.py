@@ -245,10 +245,6 @@ class ParamSet(Mapping):
         inner = ", ".join(f"{k}:{v.shape}" for k, v in self._tensors.items())
         return f"ParamSet({inner})"
 
-    @property
-    def n_params(self) -> int:
-        return sum(v.size for v in self._tensors.values())
-
     def copy(self) -> "ParamSet":
         return ParamSet({k: v.copy() for k, v in self._tensors.items()})
 

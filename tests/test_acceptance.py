@@ -33,7 +33,7 @@ from fedmatch.federation import (
 )
 from fedmatch.losses import (
     LossBreakdown,
-    LossSettings,
+    LossConfig,
     cross_entropy,
     er_loss,
     matching_loss,
@@ -237,8 +237,7 @@ def fd_where_differentiable(f_and_regions, tensor, want: int,
 
 
 def test_criterion_05b_composite_gradients_all_architectures():
-    settings = LossSettings(use_matching=True, use_wd=False, use_er=True,
-                            matching_coeff=1.0, wd_coeff=0.0, min_entropy=0.5)
+    loss = LossConfig()  # matching coefficient 1, entropy floor 0.5 nats
     coord_rng = np.random.default_rng(1234)
     worst = 0.0
     for name in ("mnist_mlp", "cifar_cnn", "kws_cnn"):
@@ -251,7 +250,7 @@ def test_criterion_05b_composite_gradients_all_architectures():
         decoder, theta = build_matching_decoder(arch, np.random.default_rng(13))
 
         _, w_grads, theta_grads = total_loss_and_grads(
-            arch.graph, x, y, w, w_round, decoder, theta, settings)
+            arch.graph, x, y, w, w_round, decoder, theta, loss)
 
         fixed_trace = nn.forward(arch.graph, w_round, x)
 
@@ -261,9 +260,9 @@ def test_criterion_05b_composite_gradients_all_architectures():
         def composite_and_regions():
             trace = nn.forward(arch.graph, w, x)
             ce, _ = cross_entropy(trace.logits, y)
-            er, _ = er_loss(trace.logits, settings.min_entropy)
+            er, _ = er_loss(trace.logits, loss.min_entropy)
             match, _ = matching_loss(trace, fixed_trace, decoder, theta)
-            total = ce + settings.matching_coeff * match + er
+            total = ce + loss.matching_coeff * match + er
             probs = softmax(trace.logits)
             with np.errstate(divide="ignore", invalid="ignore"):
                 ent = -np.sum(np.where(probs > 0, probs * np.log(probs), 0.0),
@@ -272,7 +271,7 @@ def test_criterion_05b_composite_gradients_all_architectures():
                 b"".join(s.tobytes() for s in trace.switches.values())
                 + b"".join((trace.outputs[i] > 0).tobytes()
                            for i in relu_layers)
-                + (ent < settings.min_entropy).tobytes()
+                + (ent < loss.min_entropy).tobytes()
             )
             return total, region
 

@@ -12,7 +12,7 @@ from fedmatch import nn
 from fedmatch.config import (ConfigError, ExperimentConfig, config_hash, from_dict,
                              parse_config, to_dict)
 from fedmatch.federation import run_experiment
-from fedmatch.losses import LossSettings, total_loss_and_grads
+from fedmatch.losses import LossConfig, total_loss_and_grads
 from fedmatch.metrics import MetricsSink
 from fedmatch.models import build_arch, build_matching_decoder
 
@@ -202,6 +202,13 @@ class TestTunerSection:
                                                      "sgd_iterations"]
         assert grid.size >= 4
 
+    def test_null_axes_mean_the_default_grid(self):
+        omitted = parse({"use_tuner": True})
+        null = parse({"use_tuner": True, "tuner": {"axes": None}})
+        assert null.tuner.axes is None
+        assert to_dict(null) == to_dict(omitted)
+        assert config_hash(null) == config_hash(omitted)
+
     def test_tuner_defaults(self):
         cfg = parse()
         assert cfg.tuner.window == 10
@@ -352,7 +359,7 @@ class TestGolden:
         y = rng.integers(0, 10, size=6)
         breakdown, w_grads, theta_grads = total_loss_and_grads(
             arch.graph, x, y, w_local, w_round, decoder, theta,
-            LossSettings(use_matching=True, matching_coeff=0.3))
+            LossConfig(matching_coeff=0.3))
         h = hashlib.sha256(repr(breakdown).encode())
         for grads in (w_grads, theta_grads):
             for k, v in grads.items():

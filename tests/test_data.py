@@ -249,7 +249,7 @@ class TestPartitions:
         part = partition_iid(n, k, np.random.default_rng(seed))
         allidx = np.sort(np.concatenate(part.client_indices))
         assert np.array_equal(allidx, np.arange(n))
-        sizes = part.sizes()
+        sizes = [ix.size for ix in part.client_indices]
         assert max(sizes) - min(sizes) <= 1
 
     def test_iid_more_clients_than_samples_rejected(self):

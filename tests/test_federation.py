@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from fedmatch.federation import (
     setup_experiment,
     train_client,
 )
-from fedmatch.losses import LossSettings
+from fedmatch.losses import LossConfig
 from fedmatch.metrics import MetricsSink
 from fedmatch.models import build_arch, build_matching_decoder
 from fedmatch.nn import ModelGraph, ParamSet, dense, relu
@@ -126,16 +127,15 @@ class TestTrainClient:
         y = rng.integers(0, 3, n)
         return ClientState(client_id=0, x=x, y=y)
 
-    def _settings(self):
-        return LossSettings(use_matching=False, use_wd=False, use_er=False,
-                            matching_coeff=0.0, wd_coeff=0.0, min_entropy=0.0)
+    def _cfg(self, **loss):
+        return replace(make_cfg(), loss=LossConfig(**loss))
 
     def test_zero_iterations_returns_broadcast_untouched(self):
         graph = tiny_graph()
         w = nn.init_params(graph, np.random.default_rng(1))
         res = train_client(self._client(), w, graph, None,
                            SampledHypers(lr=0.1, iterations=0),
-                           self._settings(), 16, np.random.default_rng(2))
+                           self._cfg(use_er=False), np.random.default_rng(2))
         assert params_equal(res.params, w)
         assert res.losses.total == 0.0
 
@@ -146,7 +146,7 @@ class TestTrainClient:
         before = evaluate_loss(graph, w, client.x, client.y)
         res = train_client(client, w, graph, None,
                            SampledHypers(lr=0.2, iterations=50),
-                           self._settings(), 16, np.random.default_rng(2))
+                           self._cfg(use_er=False), np.random.default_rng(2))
         after = evaluate_loss(graph, res.params, client.x, client.y)
         assert after < before
 
@@ -155,7 +155,7 @@ class TestTrainClient:
         w = nn.init_params(graph, np.random.default_rng(1))
         res = train_client(self._client(n=5), w, graph, None,
                            SampledHypers(lr=0.1, iterations=2),
-                           self._settings(), 16, np.random.default_rng(2))
+                           self._cfg(use_er=False), np.random.default_rng(2))
         assert res.short_batch
 
     def test_decoder_params_move_with_matching_on(self):
@@ -165,12 +165,9 @@ class TestTrainClient:
         client = ClientState(client_id=0, x=rng.normal(size=(20, 784)) * 0.1,
                              y=rng.integers(0, 10, 20), theta=theta0)
         w = nn.init_params(arch.graph, np.random.default_rng(5))
-        settings = LossSettings(use_matching=True, use_wd=False, use_er=True,
-                                matching_coeff=1.0, wd_coeff=0.0,
-                                min_entropy=0.5)
         res = train_client(client, w, arch.graph, decoder,
                            SampledHypers(lr=0.05, iterations=3),
-                           settings, 16, np.random.default_rng(6))
+                           self._cfg(), np.random.default_rng(6))
         assert res.theta is not None
         assert not params_equal(res.theta, theta0)
         assert res.losses.matching > 0.0
@@ -192,7 +189,7 @@ class TestTrainClient:
         monkeypatch.setattr(nn, "forward", counted)
         train_client(client, w, arch.graph, decoder,
                      SampledHypers(lr=0.05, iterations=2),
-                     LossSettings(use_matching=True), 16, np.random.default_rng(6))
+                     self._cfg(), np.random.default_rng(6))
         # step 1: local (= fixed); step 2: local, then fixed at the broadcast
         assert len(calls) == 3
         assert calls[0] is w and calls[1] is not w and calls[2] is w

@@ -1,12 +1,12 @@
 """Loss terms: frozen reference values, analytic gradients vs finite
-differences, and composition/exclusivity rules of the combined objective."""
+differences, and how the combined objective composes its terms."""
 
 import numpy as np
 import pytest
 
 from fedmatch import nn
 from fedmatch.losses import (
-    LossSettings,
+    LossConfig,
     cross_entropy,
     er_loss,
     matching_backward,
@@ -148,15 +148,14 @@ class TestMatchingLoss:
         """Identity decoder on identical models gives exactly zero."""
         graph = ModelGraph((3,), (dense(3, 3),))
         arch = type("A", (), {"graph": graph, "name": "tiny", "n_classes": 3})
-        from fedmatch.models import MatchStage, MatchingDecoder
+        from fedmatch.models import MatchStage
         stage = MatchStage(index=1, source_site=0, target_site=-1,
                            layers=(dense(3, 3),))
-        decoder = MatchingDecoder(stages=(stage,))
         w = ParamSet({"0.w": np.eye(3), "0.b": np.zeros(3)})
         theta = ParamSet({"1.w": np.eye(3), "1.b": np.zeros(3)})
         x = RNG.normal(size=(4, 3))
         trace = nn.forward(graph, w, x)
-        val, _ = matching_loss(trace, trace, decoder, theta)
+        val, _ = matching_loss(trace, trace, (stage,), theta)
         assert val == 0.0
 
     def test_value_is_sum_over_stages_mean_over_batch(self):
@@ -168,7 +167,7 @@ class TestMatchingLoss:
         for stage, _, resid in data:
             by_hand += (resid ** 2).sum() / x.shape[0]
         assert np.isclose(val, by_hand, rtol=1e-12)
-        assert len(data) == len(decoder.stages)
+        assert len(data) == len(decoder)
 
     def test_theta_gradient_matches_finite_differences(self):
         for name, (keys, _, n, h) in MATCHING_FD_CASES.items():
@@ -192,7 +191,7 @@ class TestMatchingLoss:
     def test_site_gradients_flow_into_local_model(self):
         for name, (_, keys, n, h) in MATCHING_FD_CASES.items():
             arch, decoder, theta, w_round, w_local, x = self._setup(name)
-            settings = LossSettings(use_matching=True)
+            loss = LossConfig()
             y = np.array([0, 1, 2])
             fixed = nn.forward(arch.graph, w_round, x)
 
@@ -201,10 +200,10 @@ class TestMatchingLoss:
                 local = nn.forward(arch.graph, w_local, x)
                 return (cross_entropy(local.logits, y)[0]
                         + matching_loss(local, fixed, decoder, theta)[0]
-                        + er_loss(local.logits, settings.min_entropy)[0])
+                        + er_loss(local.logits, loss.min_entropy)[0])
 
             _, w_grads, _ = total_loss_and_grads(arch.graph, x, y, w_local, w_round,
-                                                 decoder, theta, settings)
+                                                 decoder, theta, loss)
             pick = np.random.default_rng(2)
             for key in keys:
                 idx = pick.choice(w_local[key].size, size=min(n, w_local[key].size),
@@ -213,12 +212,24 @@ class TestMatchingLoss:
                 assert oracles.grad_close(w_grads[key].reshape(-1)[idx], numeric), \
                     (name, key)
 
-    def test_matching_needs_decoder(self):
-        arch, _, _, w_round, w_local, x = self._setup()
-        with pytest.raises(ValueError):
+    def test_decoder_needs_theta(self):
+        arch, decoder, _, w_round, w_local, x = self._setup()
+        with pytest.raises(ValueError, match="theta"):
             total_loss_and_grads(arch.graph, x, np.zeros(3, dtype=int),
-                                 w_local, w_round, None, None,
-                                 LossSettings(use_matching=True))
+                                 w_local, w_round, decoder, None, LossConfig())
+
+    def test_no_decoder_means_no_matching(self):
+        arch, _, _, w_round, w_local, x = self._setup()
+        y = np.zeros(3, dtype=int)
+        loss = LossConfig(matching_coeff=0.7)
+        br, w_grads, theta_grads = total_loss_and_grads(
+            arch.graph, x, y, w_local, w_round, None, None, loss)
+        assert theta_grads is None
+        assert br.matching == 0.0
+        assert br.total == br.cross_entropy + br.er
+        _, plain_grads, _ = total_loss_and_grads(
+            arch.graph, x, y, w_local, w_round, None, None, LossConfig())
+        assert all(np.array_equal(w_grads[k], plain_grads[k]) for k in w_grads)
 
 
 class TestCombinedObjective:
@@ -235,10 +246,9 @@ class TestCombinedObjective:
         arch, w_round, w_local, x, y = self._mlp_inputs()
         rng = np.random.default_rng(3)
         decoder, theta = build_matching_decoder(arch, rng)
-        settings = LossSettings(use_matching=True, matching_coeff=0.7,
-                                use_er=True, min_entropy=5.0)
+        loss = LossConfig(matching_coeff=0.7, use_er=True, min_entropy=5.0)
         br, _, _ = total_loss_and_grads(arch.graph, x, y, w_local, w_round,
-                                        decoder, theta, settings)
+                                        decoder, theta, loss)
         assert br.er > 0  # floor of 5 nats is always active for 10 classes
         assert np.isclose(br.total,
                           br.cross_entropy + 0.7 * br.matching + br.er,
@@ -246,16 +256,16 @@ class TestCombinedObjective:
 
     def test_wd_variant_composes_and_matches_fd(self):
         arch, w_round, w_local, x, y = self._mlp_inputs(batch=2)
-        settings = LossSettings(use_wd=True, wd_coeff=0.1)
+        loss = LossConfig(wd_coeff=0.1)
         br, w_grads, theta_grads = total_loss_and_grads(
-            arch.graph, x, y, w_local, w_round, None, None, settings)
+            arch.graph, x, y, w_local, w_round, None, None, loss, use_wd=True)
         assert theta_grads is None
         assert np.isclose(br.total, br.cross_entropy + br.er + 0.1 * br.wd,
                           rtol=1e-12)
 
         def value():
             b, _, _ = total_loss_and_grads(arch.graph, x, y, w_local, w_round,
-                                           None, None, settings)
+                                           None, None, loss, use_wd=True)
             return b.total
 
         pick = np.random.default_rng(3)
@@ -268,10 +278,6 @@ class TestCombinedObjective:
     def test_er_can_be_disabled(self):
         arch, w_round, w_local, x, y = self._mlp_inputs()
         br, _, _ = total_loss_and_grads(arch.graph, x, y, w_local, w_round,
-                                        None, None, LossSettings(use_er=False))
+                                        None, None, LossConfig(use_er=False))
         assert br.er == 0.0
         assert np.isclose(br.total, br.cross_entropy, rtol=1e-12)
-
-    def test_matching_and_wd_are_exclusive(self):
-        with pytest.raises(ValueError):
-            LossSettings(use_matching=True, use_wd=True)

@@ -24,7 +24,7 @@ class TestArchitectures:
         assert arch.graph.input_shape == (784,)
         assert arch.graph.layer_shapes == ((100,), (100,), (100,), (100,), (10,))
         params = nn.init_params(arch.graph, _rng())
-        assert params.n_params == 89610
+        assert sum(v.size for v in params.values()) == 89610
 
     def test_cifar_cnn_shapes(self):
         arch = build_arch("cifar_cnn")
@@ -100,19 +100,19 @@ class TestDecoderWiring:
 
     def test_mlp_decoder_is_three_affine_stages(self):
         arch = build_arch("mnist_mlp")
-        decoder, theta = build_matching_decoder(arch, _rng())
-        assert [self._ops_summary(s) for s in decoder.stages] == \
+        stages, theta = build_matching_decoder(arch, _rng())
+        assert [self._ops_summary(s) for s in stages] == \
             [["dense"], ["dense"], ["dense"]]
-        shapes = decoder.param_shapes()
-        assert shapes["1.w"] == (100, 784)
-        assert shapes["2.w"] == (100, 100)
-        assert shapes["3.w"] == (10, 100)
-        assert theta.n_params == 100 * 784 + 784 + 100 * 100 + 100 + 10 * 100 + 100
+        assert theta["1.w"].shape == (100, 784)
+        assert theta["2.w"].shape == (100, 100)
+        assert theta["3.w"].shape == (10, 100)
+        assert sum(v.size for v in theta.values()) == \
+            100 * 784 + 784 + 100 * 100 + 100 + 10 * 100 + 100
 
     def test_cifar_decoder_wiring(self):
         arch = build_arch("cifar_cnn")
-        decoder, _ = build_matching_decoder(arch, _rng())
-        assert [self._ops_summary(s) for s in decoder.stages] == [
+        stages, _ = build_matching_decoder(arch, _rng())
+        assert [self._ops_summary(s) for s in stages] == [
             ["transposed_conv2d"],
             ["transposed_conv2d", "unpool@2"],
             ["dense", "reshape", "unpool@5"],
@@ -121,8 +121,8 @@ class TestDecoderWiring:
 
     def test_kws_decoder_wiring(self):
         arch = build_arch("kws_cnn")
-        decoder, _ = build_matching_decoder(arch, _rng())
-        assert [self._ops_summary(s) for s in decoder.stages] == [
+        stages, _ = build_matching_decoder(arch, _rng())
+        assert [self._ops_summary(s) for s in stages] == [
             ["transposed_conv2d"],
             ["transposed_conv2d"],
             ["transposed_conv2d", "unpool@4"],
@@ -136,15 +136,15 @@ class TestDecoderWiring:
     def test_every_stage_reconstructs_its_target_shape(self, name, with_input):
         """Run the decoder for real and compare shapes site by site."""
         arch = build_arch(name)
-        decoder, theta = build_matching_decoder(arch, _rng(),
-                                                include_input_site=with_input)
+        stages, theta = build_matching_decoder(arch, _rng(),
+                                               include_input_site=with_input)
         sites = match_sites(arch.graph, include_input=with_input)
-        assert len(decoder.stages) == len(sites) - 1
+        assert len(stages) == len(sites) - 1
         params = nn.init_params(arch.graph, _rng())
         x = np.random.default_rng(5).normal(size=(2, *arch.graph.input_shape))
         trace = nn.forward(arch.graph, params, x)
         from fedmatch.losses import _stage_forward
-        for stage in decoder.stages:
+        for stage in stages:
             src = trace.site_output(stage.source_site)
             out, _ = _stage_forward(stage, theta, src, trace)
             want = trace.site_output(stage.target_site).shape
@@ -152,9 +152,9 @@ class TestDecoderWiring:
 
     def test_stage_targets_chain_through_all_sites(self):
         arch = build_arch("cifar_cnn")
-        decoder, _ = build_matching_decoder(arch, _rng())
+        stages, _ = build_matching_decoder(arch, _rng())
         sites = match_sites(arch.graph)
-        for k, stage in enumerate(decoder.stages):
+        for k, stage in enumerate(stages):
             assert stage.target_site == sites[k]
             assert stage.source_site == sites[k + 1]
 

@@ -553,7 +553,7 @@ class TestParamSet:
         # a healthy spread, not degenerate
         assert w.std() > bound / 4
         assert np.array_equal(params["0.b"], np.zeros(50))
-        assert params.n_params == 100 * 50 + 50 + 50 * 10 + 10
+        assert sum(v.size for v in params.values()) == 100 * 50 + 50 + 50 * 10 + 10
 
     def test_init_is_deterministic_per_seed(self):
         graph = ModelGraph((8,), (dense(8, 3),))
