@@ -31,19 +31,27 @@ the models' conv shapes OpenBLAS gives each output row the same bytes
 whatever the row count, so slicing changes no byte there.  Two products
 are not sliced: a conv's weight gradient sums over the batch, so slicing
 would reorder that sum, and a dense layer's GEMM (e.g. 1024 -> 10)
-rounds differently at every slice size.
+rounds differently at every slice size.  A conv backward builds one
+patch matrix, of the input or of the output gradient, whichever has
+fewer channels (`_conv2d_grads`): the decoder stages that narrow the
+channels take the gradient's, 20 MB instead of 210 MB for cifar_cnn's
+32 -> 3 stage at B=32, and their input gradient runs over it in the same
+slices.
 
 Freed blocks stay in the malloc heap (`_keep_freed_blocks`, on import).
 glibc otherwise maps every block of 32 MiB or more straight from the
 kernel and unmaps it on free, and trims the heap top, so each training
 step re-faulted and the kernel re-zeroed its large blocks: the conv
-weight-gradient patch matrices (151-210 MB at B=32), the 33.5 MB
-4096x1024 dense weights and the channel-last conv outputs.  That was a
-median 4.6k (kws_cnn) and 9.5k (cifar_cnn) minor page faults per B=32
-step; with both thresholds raised to 1 GiB the next step reuses those
-pages and takes 0-4.  The cost is that the resident set stays at its
-high-water mark instead of shrinking after a peak.  Where a block lives
-changes no byte of any result.
+weight-gradient patch matrices (151 MB for kws_cnn's 64 -> 64 convs at
+B=32), the 33.5 MB 4096x1024 dense weights and the channel-last conv
+outputs.  That was a median 4.6k (kws_cnn) and 9.5k (cifar_cnn) minor
+page faults per B=32 step; with both thresholds raised to 1 GiB the
+next step reuses those pages and takes 0-4.  Every thread allocates
+from the main arena (one arena at most): a thread's own arena keeps its
+heaps under 64 MiB, so a pooled client re-mapped its large blocks on
+every step.  The cost is that the resident set stays at its high-water
+mark instead of shrinking after a peak.  Where a block lives changes no
+byte of any result.
 """
 
 from __future__ import annotations
@@ -376,14 +384,16 @@ def relu_backward(x: np.ndarray, g: np.ndarray) -> np.ndarray:
 # slice of a conv may build; see `_correlate_nhwc`.
 SLICE_BYTES = 8 << 20
 
-# glibc `mallopt` parameters (malloc.h) and the size below which freed
-# blocks stay in the heap; see the module docstring.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_HEAP_KEEP_BYTES = 1 << 30
+# glibc `mallopt` settings (malloc.h parameter, value): freed blocks under
+# 1 GiB stay in the heap, and every thread allocates from the one main
+# arena; see the module docstring.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
+_HEAP_SETTINGS = ((_M_MMAP_THRESHOLD, 1 << 30), (_M_TRIM_THRESHOLD, 1 << 30),
+                  (_M_ARENA_MAX, 1))
 
 
 def _keep_freed_blocks(libc=None) -> bool:
-    """Ask glibc to keep freed blocks under 1 GiB in the heap; True if it did.
+    """Apply `_HEAP_SETTINGS` through glibc's `mallopt`; True if all took.
 
     A C library without `mallopt` (not glibc), or one that refuses a
     setting, leaves the allocator as it was; nothing is raised.
@@ -394,8 +404,7 @@ def _keep_freed_blocks(libc=None) -> bool:
         return False
     mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
     mallopt.restype = ctypes.c_int
-    return all(mallopt(param, _HEAP_KEEP_BYTES) == 1
-               for param in (_M_MMAP_THRESHOLD, _M_TRIM_THRESHOLD))
+    return all(mallopt(param, value) == 1 for param, value in _HEAP_SETTINGS)
 
 
 # Whether freed large blocks stay in the heap, for the run's progress line.
@@ -421,13 +430,16 @@ def _patches(xh: np.ndarray, k: int) -> np.ndarray:
     return win.transpose(0, 1, 2, 4, 5, 3).reshape(b * oh * ow, k * k * c)
 
 
-def _correlate_nhwc(xh: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _correlate_nhwc(xh: np.ndarray, w: np.ndarray,
+                    patches: np.ndarray | None = None) -> np.ndarray:
     """Unpadded cross-correlation of channel-last `xh` (B, HP, WP, C) with
     (O, C, K, K) kernels; returns channel-last (B, OH, OW, O).
 
     In whichever of two GEMM forms has the narrower intermediate:
 
-    * C <= O, gather: patches (B*OH*OW, K*K*C) @ kernel^T.
+    * C <= O, gather: patches (B*OH*OW, K*K*C) @ kernel^T.  `patches`, if
+      given, is that whole matrix, already built by the caller
+      (`_conv2d_grads`, which also needs it for the weight gradient).
     * C > O, tap-sum: apply the kernel first, xh (B*HP*WP, C) @
       (C, K*K*O), then add the K*K shifted taps onto the output grid.
 
@@ -437,8 +449,9 @@ def _correlate_nhwc(xh: np.ndarray, w: np.ndarray) -> np.ndarray:
     The GEMM runs over batch slices whose intermediate stays within
     `SLICE_BYTES` (at least one sample each); every slice writes its rows
     of the one output array, and a batch that fits is a single slice.
-    The weight gradient (`_conv2d_param_grads`) stays one GEMM: it sums
-    over the batch, and slicing would reorder that sum.
+    Prebuilt patches are used in the same slices, so the output has the
+    same bytes either way.  The weight gradient (`_conv2d_grads`) stays one
+    GEMM: it sums over the batch, and slicing would reorder that sum.
     """
     o, c, k = w.shape[:3]
     bsz, hp, wp = xh.shape[:3]
@@ -454,7 +467,11 @@ def _correlate_nhwc(xh: np.ndarray, w: np.ndarray) -> np.ndarray:
     for lo in range(0, bsz, step):
         xs, ys = xh[lo:lo + step], out[lo:lo + step]
         if c <= o:
-            np.matmul(_patches(xs, k), wm, out=ys.reshape(-1, o))
+            # A slice's patches die with the call, so the next slice reuses
+            # their block.
+            rows = slice(lo * oh * ow, (lo + step) * oh * ow)
+            np.matmul(_patches(xs, k) if patches is None else patches[rows], wm,
+                      out=ys.reshape(-1, o))
         else:
             taps = (xs.reshape(-1, c) @ wm).reshape(xs.shape[0], hp, wp, k, k, o)
             for u in range(k):
@@ -480,36 +497,70 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
     return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
 
 
-def _conv2d_param_grads(x: np.ndarray, g: np.ndarray, k: int, padding: int):
-    """(dw, db) of conv2d: dw = g^T @ patches, db sums g over batch and space."""
-    o = g.shape[1]
-    gm = g.transpose(0, 2, 3, 1).reshape(-1, o)
-    dw = gm.T @ _patches(_pad_nhwc(x, padding), k)
-    dw = dw.reshape(o, k, k, x.shape[1]).transpose(0, 3, 1, 2)
-    return np.ascontiguousarray(dw), g.sum(axis=(0, 2, 3))
-
-
 def _tconv_as_conv(w: np.ndarray) -> np.ndarray:
     # Swap in/out channels and flip spatially: a transposed conv is an
     # ordinary conv with this kernel and padding K-1-p.
     return np.ascontiguousarray(w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
 
 
-def _tconv_param_grads(x: np.ndarray, g: np.ndarray, k: int, padding: int):
-    """(dw, db) of transposed_conv2d: those of its equivalent conv, with
-    the kernel transform (an involution) mapping dw back."""
-    dwc, db = _conv2d_param_grads(x, g, k, k - 1 - padding)
-    return _tconv_as_conv(dwc), db
+def _conv2d_grads(x: np.ndarray, g: np.ndarray, k: int, padding: int,
+                  w: np.ndarray | None = None, transposed: bool = False):
+    """(dw, db, dx) of the stride-1 conv of x (B, C, H, W) with (O, C, K, K)
+    kernels at `padding` p, given its output gradient g (B, O, OH, OW).
+
+    dx is the transposed conv of g at padding p, with the layer's kernels
+    `w`: a conv's, or with `transposed` those of the transposed conv this
+    conv stands for, which already are its dx conv's.  Without `w` (a
+    first layer needs no input gradient) dx is None.  db sums g over batch
+    and space.
+
+    dw correlates x with g, so either can be the im2col'd side; the one
+    with fewer channels is, chosen once here for dw and dx together:
+
+    * C <= O: g^T @ the patches of x padded by p (B*OH*OW, K*K*C).
+    * O < C: the patches of g padded by K-1-p, on x's grid (B*H*W,
+      K*K*O), transposed, @ channel-last x, with the taps flipped back.
+      dx's gather GEMM runs over the same patches, so the backward builds
+      one patch matrix; for cifar_cnn's 32 -> 3 decoder stage at B=32 it
+      is 20 MB where x's was 210 MB.
+
+    dw is done before dx's kernel is built: a block allocated ahead of
+    the patch matrix raised kws_wd's peak RSS by about 13 MB.
+    """
+    o, c = g.shape[1], x.shape[1]
+    db = g.sum(axis=(0, 2, 3))
+    if c <= o:
+        # One expression, so the channel-last copy of g is freed before dx.
+        dw = g.transpose(0, 2, 3, 1).reshape(-1, o).T @ _patches(_pad_nhwc(x, padding), k)
+        dw = np.ascontiguousarray(dw.reshape(o, k, k, c).transpose(0, 3, 1, 2))
+    else:
+        gh = _pad_nhwc(g, k - 1 - padding)
+        gp = _patches(gh, k)
+        dw = (gp.T @ x.transpose(0, 2, 3, 1).reshape(-1, c)).reshape(k, k, o, c)
+        dw = np.ascontiguousarray(dw[::-1, ::-1].transpose(2, 3, 0, 1))
+    if w is None:
+        return dw, db, None
+    wt = w if transposed else _tconv_as_conv(w)
+    if c <= o:
+        return dw, db, conv2d_forward(g, wt, None, padding=k - 1 - padding)
+    return dw, db, np.ascontiguousarray(_correlate_nhwc(gh, wt, gp).transpose(0, 3, 1, 2))
+
+
+def _tconv_grads(x: np.ndarray, g: np.ndarray, k: int, padding: int,
+                 w: np.ndarray | None = None):
+    """(dw, db, dx) of transposed_conv2d: those of its equivalent conv,
+    with the kernel transform (an involution) mapping dw back."""
+    dwc, db, dx = _conv2d_grads(x, g, k, k - 1 - padding, w, transposed=True)
+    return _tconv_as_conv(dwc), db, dx
 
 
 def conv2d_backward(x: np.ndarray, w: np.ndarray, g: np.ndarray, padding: int = 0):
     """Returns (dw, db, dx) for the conv2d above. g is (B, O, H', W').
 
-    dw is one GEMM over the forward's patches; dx is the transposed conv
-    of g with the same kernel and padding.
+    dw is one GEMM over the patches of x or of g (`_conv2d_grads`); dx is
+    the transposed conv of g with the same kernel and padding.
     """
-    dw, db = _conv2d_param_grads(x, g, w.shape[2], padding)
-    return dw, db, transposed_conv2d_forward(g, w, None, padding=padding)
+    return _conv2d_grads(x, g, w.shape[2], padding, w)
 
 
 def transposed_conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
@@ -526,8 +577,7 @@ def transposed_conv2d_backward(x: np.ndarray, w: np.ndarray, g: np.ndarray,
                                padding: int = 0):
     """Returns (dw, db, dx) for the transposed conv; dx is the conv of g
     with the same kernel and padding."""
-    dw, db = _tconv_param_grads(x, g, w.shape[2], padding)
-    return dw, db, conv2d_forward(g, w, None, padding=padding)
+    return _tconv_grads(x, g, w.shape[2], padding, w)
 
 
 def _corners(x: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -707,9 +757,8 @@ def _layer0_param_grads(spec: LayerSpec, x: np.ndarray, g: np.ndarray):
     """(dw, db) of a parameterized first layer, without its input gradient."""
     if spec.kind == "dense":
         return x.T @ g, g.sum(axis=0)
-    if spec.kind == "conv2d":
-        return _conv2d_param_grads(x, g, spec.kernel, spec.padding)
-    return _tconv_param_grads(x, g, spec.kernel, spec.padding)
+    grads = _conv2d_grads if spec.kind == "conv2d" else _tconv_grads
+    return grads(x, g, spec.kernel, spec.padding)[:2]
 
 
 def backward(graph: ModelGraph, params: ParamSet, trace: ForwardTrace,

@@ -322,8 +322,8 @@ GOLDEN_RUNS = {
 # matching `total_loss_and_grads` call.  These pin the dense, transposed-conv,
 # unpool and reshape decoder stages; same BLAS caveat as GOLDEN_RUNS.
 GOLDEN_MATCHING = {
-    "cifar_cnn": "0c9112126c74c53882b8afff69e83461e30f6f135afeeb63bea846fe5a151415",
-    "kws_cnn": "a49a2edcc611ddf043d1d127c6fd0b514aec7942efa737ca71efc778923ed692",
+    "cifar_cnn": "e151de7bf0868e66279c20496f6a8d48eaae71186b3e9aadb077b4e4e22975bc",
+    "kws_cnn": "6e7c8d8f16373a2aa734ce4b825e917995da9dc99d805b9456519861bdf2f20a",
     "mnist_mlp": "0cbbb55bb44d2726a2e1ab95a521456edbc959a0cd5d86a12b87dcb2f08a6e7f",
 }
 
