@@ -207,8 +207,9 @@ def _validate(cfg: ExperimentConfig) -> None:
     if not cfg.output_dir:
         raise ConfigError("output_dir must be non-empty")
     loss, tuner, schedule, synthetic = cfg.loss, cfg.tuner, cfg.schedule, cfg.synthetic
-    if loss.matching_coeff < 0 or loss.wd_coeff < 0 or loss.min_entropy < 0:
-        raise ConfigError("loss coefficients must be non-negative")
+    for name in ("matching_coeff", "wd_coeff", "min_entropy"):
+        if getattr(loss, name) < 0:
+            raise ConfigError(f"loss.{name} must be non-negative")
     if tuner.window < 0:
         raise ConfigError("tuner.window must be non-negative")
     if tuner.hyper_lr < 0:
@@ -223,8 +224,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("schedule.iterations must be at least 1")
     if not 2 <= synthetic.classes <= 10:
         raise ConfigError("synthetic.classes must be between 2 and 10")
-    if synthetic.per_class < 1 or synthetic.test_per_class < 1:
-        raise ConfigError("synthetic per-class counts must be positive")
+    if synthetic.per_class < 1:
+        raise ConfigError("synthetic.per_class must be positive")
+    if synthetic.test_per_class < 1:
+        raise ConfigError("synthetic.test_per_class must be positive")
     if synthetic.input_dim != 784:
         raise ConfigError("synthetic.input_dim must be 784 to fit the mlp")
     if synthetic.spread <= 0:

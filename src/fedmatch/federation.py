@@ -19,13 +19,14 @@ import ctypes
 import functools
 import os
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import nn, seeding
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .data import (
     Dataset,
     load_cifar10,
@@ -43,7 +44,6 @@ from .nn import ModelGraph, ParamSet
 from .tuner import (
     HyperDist,
     HyperGrid,
-    RewardWindow,
     initial_dist,
     mu_raw,
     reinforce_update,
@@ -79,16 +79,7 @@ class ServerState:
     current_loss: float = float("nan")  # validation loss at `params`
     grid: HyperGrid | None = None
     dist: HyperDist | None = None
-    window: RewardWindow | None = None
-
-
-@dataclass(frozen=True)
-class SampledHypers:
-    """The hyper-parameters one round actually trains with."""
-
-    lr: float
-    iterations: int
-    h_norm: np.ndarray | None = None  # grid coords when tuned, None when fixed
+    window: deque | None = None  # (reward, score) pairs, capacity tuner.window + 1
 
 
 @dataclass(frozen=True)
@@ -181,13 +172,13 @@ def _batch_indices(n: int, batch_size: int, iterations: int,
 
 
 def train_client(client: ClientState, w_round: ParamSet, graph: ModelGraph,
-                 decoder: tuple[MatchStage, ...] | None, hypers: SampledHypers,
+                 decoder: tuple[MatchStage, ...] | None, lr: float, iterations: int,
                  cfg: ExperimentConfig, rng: np.random.Generator) -> ClientResult:
-    """Run local SGD from the broadcast parameters.
+    """Run `iterations` steps of local SGD from the broadcast parameters.
 
     The objective follows `cfg.loss` and `cfg.use_wd`, with matching on
     exactly when `decoder` is given; batches have `cfg.batch_size` samples.
-    Model and decoder parameters step together at the sampled rate.  The
+    Model and decoder parameters step together at rate `lr`.  The
     returned breakdown is from the last iteration (the loss the client
     ended on).
     """
@@ -196,15 +187,15 @@ def train_client(client: ClientState, w_round: ParamSet, graph: ModelGraph,
     breakdown = None
     short = False
     for idx, is_short in _batch_indices(client.n_samples, cfg.batch_size,
-                                        hypers.iterations, rng):
+                                        iterations, rng):
         short = short or is_short
         xb = client.x[idx]
         yb = client.y[idx]
         breakdown, w_grads, theta_grads = total_loss_and_grads(
             graph, xb, yb, w, w_round, decoder, theta, cfg.loss, cfg.use_wd)
-        w = nn.sgd_step(w, w_grads, hypers.lr)
+        w = nn.sgd_step(w, w_grads, lr)
         if theta_grads is not None:
-            theta = nn.sgd_step(theta, theta_grads, hypers.lr)
+            theta = nn.sgd_step(theta, theta_grads, lr)
     if breakdown is None:  # zero iterations: nothing moved
         breakdown = LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)
     return ClientResult(client_id=client.client_id, n_samples=client.n_samples,
@@ -341,18 +332,15 @@ def run_round(server: ServerState, clients: list[ClientState],
     # 1. hyper-parameters for this round
     if cfg.use_tuner:
         rng = seeding.substream(cfg.seed, seeding.HYPER_SAMPLE, t)
-        _, h_norm, raw = sample(server.grid, server.dist, rng)
-        hypers = SampledHypers(lr=float(raw["learning_rate"]),
-                               iterations=int(raw["sgd_iterations"]),
-                               h_norm=h_norm)
-        dist_before = server.dist
-        mu_norm = tuple(float(v) for v in dist_before.mu)
-        mu_raw_now = mu_raw(server.grid, dist_before)
+        i = sample(server.grid, server.dist, rng)
+        raw = server.grid.raw_values(i)
+        lr, iterations = float(raw["learning_rate"]), int(raw["sgd_iterations"])
+        h_norm = tuple(float(v) for v in server.grid.points[i])
+        mu_norm = tuple(float(v) for v in server.dist.mu)
+        mu_raw_now = mu_raw(server.grid, server.dist)
     else:
-        hypers = SampledHypers(lr=_schedule_lr(cfg, t),
-                               iterations=cfg.schedule.iterations)
-        mu_norm = None
-        mu_raw_now = None
+        lr, iterations = _schedule_lr(cfg, t), cfg.schedule.iterations
+        h_norm = mu_norm = mu_raw_now = None
 
     # 2. participating clients
     sel_rng = seeding.substream(cfg.seed, seeding.CLIENT_SELECT, t)
@@ -362,7 +350,7 @@ def run_round(server: ServerState, clients: list[ClientState],
     def work(cid: int) -> ClientResult:
         crng = seeding.substream(cfg.seed, seeding.CLIENT_TRAIN, t, cid)
         return train_client(clients[cid], server.params, arch.graph, decoder,
-                            hypers, cfg, crng)
+                            lr, iterations, cfg, crng)
 
     workers = _pool_width(cfg.parallel_clients, _blas_threads(), _cores())
     if workers > 1 and len(selected) > 1:
@@ -384,8 +372,7 @@ def run_round(server: ServerState, clients: list[ClientState],
     r_t = None
     if cfg.use_tuner:
         r_t = reward(loss_before, loss_after)
-        s_t = score(server.grid, server.dist, hypers.h_norm)
-        server.window.push(r_t, s_t)
+        server.window.append((r_t, score(server.grid, server.dist, i)))
         server.dist = reinforce_update(
             server.dist, server.window, cfg.tuner.hyper_lr,
             sign=1.0 if cfg.tuner.update_sign == "ascent" else -1.0,
@@ -401,9 +388,9 @@ def run_round(server: ServerState, clients: list[ClientState],
     return RoundRecord(
         round=t,
         selected=selected,
-        lr=hypers.lr,
-        iterations=hypers.iterations,
-        h_norm=tuple(float(v) for v in hypers.h_norm) if hypers.h_norm is not None else None,
+        lr=lr,
+        iterations=iterations,
+        h_norm=h_norm,
         mu_norm=mu_norm,
         mu_raw=mu_raw_now,
         loss_before=loss_before,
@@ -454,10 +441,10 @@ def setup_experiment(cfg: ExperimentConfig):
         train = stratified_subset(train, cfg.train_subset, sub_rng)
 
     val_rng = seeding.substream(cfg.seed, seeding.VALIDATION_SPLIT)
-    if cfg.validation_size >= train.n:
-        raise ValueError(
-            f"validation_size {cfg.validation_size} does not leave training "
-            f"data (train size {train.n})")
+    if train.n - cfg.validation_size < cfg.n_clients:
+        raise ConfigError(
+            f"validation_size {cfg.validation_size} leaves fewer training samples "
+            f"than n_clients {cfg.n_clients} (train size {train.n})")
     train, val = stratified_holdout(train, cfg.validation_size, val_rng)
 
     if cfg.partition == "iid":
@@ -492,7 +479,7 @@ def setup_experiment(cfg: ExperimentConfig):
     if cfg.use_tuner:
         server.grid = cfg.hyper_grid()
         server.dist = initial_dist(server.grid, cfg.tuner.init_std)
-        server.window = RewardWindow(cfg.tuner.window)
+        server.window = deque(maxlen=cfg.tuner.window + 1)
     server.current_loss = evaluate_loss(arch.graph, params, val.samples, val.labels)
     return server, clients, arch, decoder, test
 

@@ -253,9 +253,6 @@ class ParamSet(Mapping):
         inner = ", ".join(f"{k}:{v.shape}" for k, v in self._tensors.items())
         return f"ParamSet({inner})"
 
-    def copy(self) -> "ParamSet":
-        return ParamSet({k: v.copy() for k, v in self._tensors.items()})
-
     def map(self, fn) -> "ParamSet":
         return ParamSet({k: fn(v) for k, v in self._tensors.items()})
 

@@ -7,7 +7,9 @@ a finite grid of hyper-parameter combinations:
 
 with psi = (mu, log_precision), A = diag(exp(log_precision)).  Axes are
 normalized: the n values of an axis sit at linspace(-0.5, 0.5, n) by rank,
-so mu lives in a zero-centered box regardless of raw units.
+so mu lives in a zero-centered box regardless of raw units.  A cell of
+the grid is named by its flat index i, the row of `HyperGrid.points` that
+holds its coordinates: `sample` draws an index and `score` scores one.
 
 After each round the server scores the sampled combination with the
 relative validation-loss improvement
@@ -19,6 +21,9 @@ and nudges psi along the REINFORCE direction, using a trailing window of
 
     psi <- psi + eta * sum_{tau = t-Z'}^{t} (r_tau - rbar) * score_tau,
     rbar = mean of the window's rewards,  Z' = min(Z, t-1).
+
+The window is a deque with capacity Z+1: the current round's pair and at
+most Z before it.
 
 The score is the exact gradient of log P(h | psi), computable in closed
 form because the grid is finite:
@@ -34,8 +39,8 @@ replicating the sign convention used elsewhere.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -75,11 +80,6 @@ class HyperAxis:
         return _read_only(np.zeros(1) if n == 1
                           else np.linspace(COORD_SPAN[0], COORD_SPAN[1], n))
 
-    def raw_at(self, coord: float) -> float:
-        """Raw value at a normalized coordinate, linearly interpolated."""
-        raw = float(np.interp(coord, self.coords, np.asarray(self.values)))
-        return raw
-
 
 @dataclass(frozen=True)
 class HyperGrid:
@@ -106,18 +106,14 @@ class HyperGrid:
     def size(self) -> int:
         return int(np.prod(self.shape))
 
+    @cached_property
     def points(self) -> np.ndarray:
-        """(size, ndim) matrix of normalized grid coordinates; cached,
-        read-only.
+        """(size, ndim) matrix of normalized grid coordinates; read-only.
 
         The first axis varies slowest (row-major flattening of the
         cartesian product), so point index <-> per-axis indices via
         np.unravel_index with this grid's shape.
         """
-        return self._points
-
-    @cached_property
-    def _points(self) -> np.ndarray:
         mesh = np.meshgrid(*(a.coords for a in self.axes), indexing="ij")
         return _read_only(np.stack([m.reshape(-1) for m in mesh], axis=1))
 
@@ -128,20 +124,6 @@ class HyperGrid:
             v = a.values[int(i)]
             out[a.name] = int(v) if a.integer else float(v)
         return out
-
-    def locate(self, h: np.ndarray) -> int:
-        """Flat index of a normalized point; errors if h is off the grid."""
-        h = np.asarray(h, dtype=np.float64)
-        if h.shape != (self.ndim,):
-            raise GridError(f"point shape {h.shape} does not match ndim {self.ndim}")
-        per_axis = []
-        for d, a in enumerate(self.axes):
-            c = a.coords
-            j = int(np.argmin(np.abs(c - h[d])))
-            if abs(c[j] - h[d]) > 1e-9:
-                raise GridError(f"coordinate {h[d]} is not on axis {a.name!r}")
-            per_axis.append(j)
-        return int(np.ravel_multi_index(tuple(per_axis), self.shape))
 
 
 def default_grid(task: str = "mnist") -> HyperGrid:
@@ -191,7 +173,7 @@ def initial_dist(grid: HyperGrid, std: float = 0.2) -> HyperDist:
 
 
 def _log_unnorm(grid: HyperGrid, dist: HyperDist) -> np.ndarray:
-    pts = grid.points()
+    pts = grid.points
     a = dist.precision
     diff = pts - dist.mu
     # log N up to the shared (2 pi)^{-D/2} constant, which cancels in the
@@ -209,25 +191,23 @@ def grid_probs(grid: HyperGrid, dist: HyperDist) -> np.ndarray:
     return w / w.sum()
 
 
-def sample(grid: HyperGrid, dist: HyperDist, rng: np.random.Generator):
-    """Draw one combination; returns (flat_index, h_norm, raw dict)."""
+def sample(grid: HyperGrid, dist: HyperDist, rng: np.random.Generator) -> int:
+    """Draw one combination; returns its flat grid index."""
     p = grid_probs(grid, dist)
-    idx = int(rng.choice(p.size, p=p))
-    h = grid.points()[idx].copy()
-    return idx, h, grid.raw_values(idx)
+    return int(rng.choice(p.size, p=p))
 
 
-def score(grid: HyperGrid, dist: HyperDist, h: np.ndarray) -> np.ndarray:
-    """Exact grad of log P(h | psi); shape (2, D): rows (mu, log_precision).
+def score(grid: HyperGrid, dist: HyperDist, i: int) -> np.ndarray:
+    """Exact grad of log P(h_i | psi) for grid cell i; shape (2, D): rows
+    (mu, log_precision).
 
     grad_mu log N = A (h - mu); grad_logA log N = 1/2 - 1/2 A (h - mu)^2
     per axis.  The grid-restricted score subtracts the probability-weighted
     average of the same quantity over all grid points.
     """
-    i = grid.locate(h)  # raises when h is off the grid
     p = grid_probs(grid, dist)
     a = dist.precision
-    diff = grid.points() - dist.mu
+    diff = grid.points - dist.mu
     gmu_all = a * diff                      # (size, D)
     glp_all = 0.5 - 0.5 * a * diff * diff   # (size, D)
     expected = np.stack([p @ gmu_all, p @ glp_all])
@@ -243,39 +223,13 @@ def reward(loss_before: float, loss_after: float) -> float:
     return (loss_before - loss_after) / loss_before
 
 
-@dataclass
-class RewardWindow:
-    """Trailing (reward, score) pairs; capacity Z+1 so Z' = min(Z, t-1)."""
-
-    z: int
-    _buf: deque = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.z < 0:
-            raise GridError("window radius must be non-negative")
-        self._buf = deque(maxlen=self.z + 1)
-
-    def push(self, r: float, s: np.ndarray) -> None:
-        self._buf.append((float(r), np.asarray(s, dtype=np.float64)))
-
-    def __len__(self) -> int:
-        return len(self._buf)
-
-    @property
-    def rewards(self) -> np.ndarray:
-        return np.array([r for r, _ in self._buf])
-
-    @property
-    def scores(self) -> list[np.ndarray]:
-        return [s for _, s in self._buf]
-
-
-def reinforce_update(dist: HyperDist, window: RewardWindow, eta: float,
-                     sign: float = 1.0, freeze_precision: bool = False) -> HyperDist:
+def reinforce_update(dist: HyperDist, window: Sequence[tuple[float, np.ndarray]],
+                     eta: float, sign: float = 1.0,
+                     freeze_precision: bool = False) -> HyperDist:
     """One windowed REINFORCE step on psi.
 
-    The window must already contain the current round's (reward, score).
-    With sign=+1 (default) the step ascends expected reward; sign=-1
+    `window` holds (reward, score) pairs, oldest first, and must already
+    contain the current round's.  With sign=+1 (default) the step ascends expected reward; sign=-1
     descends, for replicating the opposite convention.  mu is clamped to
     the normalized hull after the step.
     """
@@ -285,10 +239,9 @@ def reinforce_update(dist: HyperDist, window: RewardWindow, eta: float,
         raise ValueError("eta must be non-negative")
     if sign not in (1.0, -1.0):
         raise ValueError("sign must be +1 or -1")
-    r = window.rewards
-    rbar = r.mean()
+    rbar = np.array([r for r, _ in window]).mean()
     delta = np.zeros((2, dist.mu.size))
-    for r_tau, s_tau in zip(r, window.scores):
+    for r_tau, s_tau in window:
         delta += (r_tau - rbar) * s_tau
     mu = dist.mu + sign * eta * delta[0]
     mu = np.clip(mu, COORD_SPAN[0], COORD_SPAN[1])
@@ -301,4 +254,5 @@ def reinforce_update(dist: HyperDist, window: RewardWindow, eta: float,
 
 def mu_raw(grid: HyperGrid, dist: HyperDist) -> dict[str, float]:
     """Raw-unit readout of the current mean, per axis."""
-    return {a.name: a.raw_at(float(dist.mu[d])) for d, a in enumerate(grid.axes)}
+    return {a.name: float(np.interp(dist.mu[d], a.coords, a.values))
+            for d, a in enumerate(grid.axes)}

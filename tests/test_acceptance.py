@@ -18,6 +18,7 @@ minutes each on one CPU); criterion 1 also enforces its wall-clock bound.
 import json
 import os
 import time
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +48,6 @@ from fedmatch.tuner import (
     HyperAxis,
     HyperGrid,
     HyperDist,
-    RewardWindow,
     grid_probs,
     initial_dist,
     reinforce_update,
@@ -307,7 +307,7 @@ def bandit_grid() -> HyperGrid:
 
 def test_criterion_06_reinforce_estimator_matches_exact_gradient():
     grid = bandit_grid()
-    pts = grid.points()
+    pts = grid.points
     dist = HyperDist(mu=np.array([0.17, 0.10]),
                      log_precision=np.array([0.43, 0.53]))
     rewards = (1.0 + 6.4 * (pts[:, 0] - 0.24) ** 2
@@ -315,7 +315,7 @@ def test_criterion_06_reinforce_estimator_matches_exact_gradient():
                - 1.2 * pts[:, 0] - 0.3 * pts[:, 1])
 
     probs = grid_probs(grid, dist)
-    scores = np.stack([score(grid, dist, pts[i]) for i in range(pts.shape[0])])
+    scores = np.stack([score(grid, dist, i) for i in range(pts.shape[0])])
     exact = np.tensordot(probs * rewards, scores, axes=1)
     baseline = float(probs @ rewards)
 
@@ -323,8 +323,8 @@ def test_criterion_06_reinforce_estimator_matches_exact_gradient():
     total = np.zeros_like(exact)
     n = 100_000
     for _ in range(n):
-        idx, h, _ = sample(grid, dist, rng)
-        total += (rewards[idx] - baseline) * score(grid, dist, h)
+        idx = sample(grid, dist, rng)
+        total += (rewards[idx] - baseline) * score(grid, dist, idx)
     mc = total / n
     rel = np.abs(mc - exact) / np.abs(exact)
     verdict(6, bool(np.all(rel < 0.02)),
@@ -335,7 +335,7 @@ def test_criterion_06_reinforce_estimator_matches_exact_gradient():
 
 def test_criterion_07_distribution_properties():
     grid = bandit_grid()
-    pts = grid.points()
+    pts = grid.points
     rng = np.random.default_rng(99)
     worst_sum = 0.0
     worst_id = 0.0
@@ -346,7 +346,7 @@ def test_criterion_07_distribution_properties():
         probs = grid_probs(grid, dist)
         worst_sum = max(worst_sum, abs(float(probs.sum()) - 1.0))
 
-        scores = np.stack([score(grid, dist, pts[i])
+        scores = np.stack([score(grid, dist, i)
                            for i in range(pts.shape[0])])
         identity = np.tensordot(probs, scores, axes=1)
         worst_id = max(worst_id, float(np.abs(identity).max()))
@@ -361,7 +361,7 @@ def test_criterion_07_distribution_properties():
             return float(np.log(grid_probs(grid, d)[i]))
 
         numeric = fd_gradient_at(logp, psi, range(4), h=1e-6)
-        analytic = score(grid, dist, pts[i]).reshape(-1)
+        analytic = score(grid, dist, i).reshape(-1)
         assert grad_close(analytic, numeric, tol=1e-6), \
             f"score vs fd: {analytic} vs {numeric}"
         denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
@@ -468,7 +468,7 @@ def test_criterion_09_reruns_and_thread_pool_are_byte_identical(tmp_path):
 
 def test_criterion_10_bandit_mean_converges_to_optimum():
     grid = bandit_grid()
-    pts = grid.points()
+    pts = grid.points
     coords_a = np.unique(pts[:, 0])
     coords_b = np.unique(pts[:, 1])
     target = np.array([coords_a[2], coords_b[1]])  # an interior cell
@@ -479,12 +479,12 @@ def test_criterion_10_bandit_mean_converges_to_optimum():
     for seed in range(1, 6):
         rng = np.random.default_rng(seed)
         dist = initial_dist(grid, 0.2)
-        window = RewardWindow(10)
+        window = deque(maxlen=11)
         for _ in range(2000):
-            idx, h, _ = sample(grid, dist, rng)
+            idx = sample(grid, dist, rng)
             r = 0.05 * (1.0 - 2.0 * float(np.sum((pts[idx] - target) ** 2))) \
                 + float(rng.normal(0.0, 0.005))
-            window.push(r, score(grid, dist, h))
+            window.append((r, score(grid, dist, idx)))
             dist = reinforce_update(dist, window, 0.01, sign=1.0)
         ok = bool(np.all(np.abs(dist.mu - target) <= cell))
         hits += ok

@@ -165,6 +165,17 @@ class TestValidation:
         with pytest.raises(ConfigError, match="update_sign"):
             parse({"tuner": {"axes": TUNER_AXES, "update_sign": "sideways"}})
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("loss", "matching_coeff", -1.0),
+        ("loss", "wd_coeff", -1.0),
+        ("loss", "min_entropy", -1.0),
+        ("synthetic", "per_class", 0),
+        ("synthetic", "test_per_class", 0),
+    ])
+    def test_range_errors_name_their_field(self, section, key, value):
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key} "):
+            parse({section: {key: value}})
+
     def test_synthetic_input_dim_is_pinned(self):
         with pytest.raises(ConfigError, match="input_dim"):
             parse({"synthetic": {"input_dim": 100}})

@@ -13,11 +13,10 @@ import pytest
 
 from fedmatch import federation, nn, seeding
 from fedmatch.cli import main
-from fedmatch.config import from_dict
+from fedmatch.config import ConfigError, from_dict
 from fedmatch.data import Dataset, write_features
 from fedmatch.federation import (
     ClientState,
-    SampledHypers,
     _batch_indices,
     _blas_threads,
     _pool_width,
@@ -134,7 +133,7 @@ class TestTrainClient:
         graph = tiny_graph()
         w = nn.init_params(graph, np.random.default_rng(1))
         res = train_client(self._client(), w, graph, None,
-                           SampledHypers(lr=0.1, iterations=0),
+                           0.1, 0,
                            self._cfg(use_er=False), np.random.default_rng(2))
         assert params_equal(res.params, w)
         assert res.losses.total == 0.0
@@ -145,7 +144,7 @@ class TestTrainClient:
         client = self._client()
         before = evaluate_loss(graph, w, client.x, client.y)
         res = train_client(client, w, graph, None,
-                           SampledHypers(lr=0.2, iterations=50),
+                           0.2, 50,
                            self._cfg(use_er=False), np.random.default_rng(2))
         after = evaluate_loss(graph, res.params, client.x, client.y)
         assert after < before
@@ -154,7 +153,7 @@ class TestTrainClient:
         graph = tiny_graph()
         w = nn.init_params(graph, np.random.default_rng(1))
         res = train_client(self._client(n=5), w, graph, None,
-                           SampledHypers(lr=0.1, iterations=2),
+                           0.1, 2,
                            self._cfg(use_er=False), np.random.default_rng(2))
         assert res.short_batch
 
@@ -166,7 +165,7 @@ class TestTrainClient:
                              y=rng.integers(0, 10, 20), theta=theta0)
         w = nn.init_params(arch.graph, np.random.default_rng(5))
         res = train_client(client, w, arch.graph, decoder,
-                           SampledHypers(lr=0.05, iterations=3),
+                           0.05, 3,
                            self._cfg(), np.random.default_rng(6))
         assert res.theta is not None
         assert not params_equal(res.theta, theta0)
@@ -188,7 +187,7 @@ class TestTrainClient:
 
         monkeypatch.setattr(nn, "forward", counted)
         train_client(client, w, arch.graph, decoder,
-                     SampledHypers(lr=0.05, iterations=2),
+                     0.05, 2,
                      self._cfg(), np.random.default_rng(6))
         # step 1: local (= fixed); step 2: local, then fixed at the broadcast
         assert len(calls) == 3
@@ -433,9 +432,28 @@ class TestRounds:
             assert np.all(c.y == k)
 
     def test_validation_must_leave_training_data(self):
-        cfg = make_cfg({"validation_size": 120})
-        with pytest.raises(ValueError, match="validation"):
-            setup_experiment(cfg)
+        # 4 classes x 20 samples: 80 training samples before validation,
+        # which must leave at least one sample per client
+        for overrides in ({"validation_size": 120}, {"validation_size": 77},
+                          {"n_clients": 200}):
+            cfg = make_cfg({"synthetic": {"per_class": 20}, **overrides})
+            with pytest.raises(ConfigError,
+                               match=r"validation_size.*n_clients.*train size 80\)"):
+                setup_experiment(cfg)
+
+    @pytest.mark.parametrize("window", [0, 2])
+    def test_tuner_window_holds_z_plus_one_rounds(self, window):
+        cfg = make_cfg({"use_tuner": True, "tuner": {"window": window, "axes": [
+            {"name": "learning_rate", "values": [0.01, 0.05], "integer": False},
+            {"name": "sgd_iterations", "values": [2, 4]},
+        ]}})
+        server, clients, arch, decoder, _ = setup_experiment(cfg)
+        mu0 = tuple(float(v) for v in server.dist.mu)
+        records = [run_round(server, clients, arch, decoder, cfg) for _ in range(5)]
+        assert len(server.window) == window + 1
+        if window == 0:  # r - rbar is 0 in a one-pair window: mu never moves
+            assert all(rec.mu_norm == mu0 for rec in records)
+            assert tuple(float(v) for v in server.dist.mu) == mu0
 
 
 class TestExperiments:

@@ -122,7 +122,7 @@ class TestWeightDivergence:
 
     def test_zero_at_equal_params(self):
         a = ParamSet({"w": RNG.normal(size=(4, 4))})
-        loss, grads = wd_loss(a, a.copy())
+        loss, grads = wd_loss(a, a.map(np.copy))
         assert loss == 0.0
         assert not grads["w"].any()
 

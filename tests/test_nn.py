@@ -330,14 +330,14 @@ class TestHeapReuse:
         _mallinfo2()
         faults = []
 
-        def reallocate():
+        def allocate_twice():
             a = np.ones(self.BIG)
             del a
             before = _minor_faults()
             a = np.ones(self.BIG)
             faults.append(_minor_faults() - before)
 
-        worker = threading.Thread(target=reallocate)
+        worker = threading.Thread(target=allocate_twice)
         worker.start()
         worker.join(timeout=60)
         assert not worker.is_alive() and len(faults) == 1

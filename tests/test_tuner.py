@@ -2,6 +2,8 @@
 straight-line reference, scores against both a reference and finite
 differences of log P, window/baseline semantics, clamping, signs."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from fedmatch.tuner import (
     HyperAxis,
     HyperDist,
     HyperGrid,
-    RewardWindow,
     default_grid,
     grid_probs,
     initial_dist,
@@ -57,35 +58,35 @@ class TestAxesAndGrid:
 
     def test_points_enumerate_cartesian_product_row_major(self):
         g = HyperGrid(axes=(HyperAxis("a", (1.0, 2.0)), HyperAxis("b", (1.0, 2.0, 3.0))))
-        pts = g.points()
+        pts = g.points
         assert pts.shape == (6, 2)
         # first axis varies slowest
         assert np.allclose(pts[:3, 0], -0.5) and np.allclose(pts[3:, 0], 0.5)
         assert np.allclose(pts[:3, 1], [-0.5, 0.0, 0.5])
 
     def test_points_and_coords_are_cached_read_only(self):
-        # sample/score/locate read these on every call; a caller that
-        # wrote into them would move the grid for every later call.
+        # sample/score read these on every call; a caller that wrote
+        # into them would move the grid for every later call.
         g = default_grid("kws")
-        assert g.points() is g.points()
+        assert g.points is g.points
         assert g.axes[0].coords is g.axes[0].coords
-        for arr in (g.points(), g.axes[0].coords):
+        for arr in (g.points, g.axes[0].coords):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
     def test_raw_values_and_locate_roundtrip(self):
+        # a flat index locates one value on each axis, and both its point
+        # and its raw values are read from those
         g = default_grid("mnist")
         for idx in (0, 7, 35):
-            h = g.points()[idx]
-            assert g.locate(h) == idx
+            per_axis = np.unravel_index(idx, g.shape)
+            assert np.ravel_multi_index(per_axis, g.shape) == idx
+            assert list(g.points[idx]) == [a.coords[j] for a, j in zip(g.axes, per_axis)]
+            assert g.raw_values(idx) == {a.name: a.values[j]
+                                         for a, j in zip(g.axes, per_axis)}
         raw = g.raw_values(0)
         assert raw == {"learning_rate": 0.005, "sgd_iterations": 10}
         assert isinstance(raw["sgd_iterations"], int)
-
-    def test_locate_rejects_off_grid_points(self):
-        g = three_point_grid()
-        with pytest.raises(GridError):
-            g.locate(np.array([0.25]))
 
 
 class TestGridProbabilities:
@@ -104,7 +105,7 @@ class TestGridProbabilities:
         dist = HyperDist(mu=np.array([0.13, -0.22]),
                          log_precision=np.array([1.1, -0.4]))
         p = grid_probs(g, dist)
-        ref = oracles.grid_probs_ref(g.points(), dist.mu, dist.precision)
+        ref = oracles.grid_probs_ref(g.points, dist.mu, dist.precision)
         assert np.allclose(p, ref, atol=1e-12)
 
     def test_probabilities_follow_distance_to_mean(self):
@@ -125,8 +126,8 @@ class TestSampling:
     def test_sample_is_reproducible_per_seed(self):
         g = default_grid("mnist")
         dist = initial_dist(g)
-        draws1 = [sample(g, dist, np.random.default_rng(5))[0] for _ in range(10)]
-        draws2 = [sample(g, dist, np.random.default_rng(5))[0] for _ in range(10)]
+        draws1 = [sample(g, dist, np.random.default_rng(5)) for _ in range(10)]
+        draws2 = [sample(g, dist, np.random.default_rng(5)) for _ in range(10)]
         assert draws1 == draws2
 
     def test_sample_frequencies_track_probabilities(self):
@@ -136,16 +137,8 @@ class TestSampling:
         n = 20000
         counts = np.zeros(3)
         for _ in range(n):
-            idx, _, _ = sample(g, dist, rng)
-            counts[idx] += 1
+            counts[sample(g, dist, rng)] += 1
         assert np.allclose(counts / n, grid_probs(g, dist), atol=0.01)
-
-    def test_sample_returns_consistent_views(self):
-        g = default_grid("kws")
-        dist = initial_dist(g)
-        idx, h, raw = sample(g, dist, np.random.default_rng(0))
-        assert g.locate(h) == idx
-        assert raw == g.raw_values(idx)
 
 
 class TestScore:
@@ -154,16 +147,15 @@ class TestScore:
         # score_mu(h=+0.5) = A * 0.5 = 2.0 for A = 4
         g = HyperGrid(axes=(HyperAxis("x", (0.0, 1.0)),))
         dist = HyperDist(mu=np.zeros(1), log_precision=np.log(np.array([4.0])))
-        s = score(g, dist, np.array([0.5]))
+        s = score(g, dist, 1)
         assert np.isclose(s[0, 0], 2.0, atol=1e-12)
 
     def test_matches_loop_reference(self):
         g = default_grid("mnist")
         dist = HyperDist(mu=np.array([0.2, -0.1]),
                          log_precision=np.array([2.0, 0.5]))
-        h = g.points()[17]
-        got = score(g, dist, h)
-        want = oracles.score_ref(g.points(), dist.mu, dist.precision, h)
+        got = score(g, dist, 17)
+        want = oracles.score_ref(g.points, dist.mu, dist.precision, g.points[17])
         assert np.allclose(got, want, atol=1e-12)
 
     def test_score_is_gradient_of_log_prob(self):
@@ -172,8 +164,7 @@ class TestScore:
         mu = np.array([0.11, -0.31])
         lp = np.array([1.3, 0.2])
         h_idx = 21
-        h = g.points()[h_idx]
-        s = score(g, HyperDist(mu=mu, log_precision=lp), h)
+        s = score(g, HyperDist(mu=mu, log_precision=lp), h_idx)
         eps = 1e-6
         for row, vec in ((0, mu), (1, lp)):
             for d in range(2):
@@ -190,15 +181,9 @@ class TestScore:
         dist = HyperDist(mu=np.array([0.3, -0.4]), log_precision=np.array([2.2, 1.0]))
         p = grid_probs(g, dist)
         total = np.zeros((2, 2))
-        for i, h in enumerate(g.points()):
-            total += p[i] * score(g, dist, h)
+        for i in range(g.size):
+            total += p[i] * score(g, dist, i)
         assert np.allclose(total, 0.0, atol=1e-12)
-
-    def test_off_grid_point_rejected(self):
-        g = three_point_grid()
-        dist = initial_dist(g)
-        with pytest.raises(GridError):
-            score(g, dist, np.array([0.123]))
 
 
 class TestReward:
@@ -218,31 +203,32 @@ class TestReward:
 
 class TestWindowAndUpdate:
     def test_window_capacity_is_z_plus_one(self):
-        w = RewardWindow(z=3)
-        for i in range(10):
-            w.push(float(i), np.zeros((2, 1)))
-        assert len(w) == 4
-        assert np.allclose(w.rewards, [6.0, 7.0, 8.0, 9.0])
+        # a deque of capacity Z+1 bases the step on the last Z+1 pairs only
+        g = three_point_grid()
+        dist = initial_dist(g)
+        pairs = [(float(r), score(g, dist, r % 3)) for r in range(10)]
+        w = deque(pairs, maxlen=4)
+        assert [r for r, _ in w] == [6.0, 7.0, 8.0, 9.0]
+        new = reinforce_update(dist, w, eta=0.01)
+        last = reinforce_update(dist, pairs[-4:], eta=0.01)
+        every = reinforce_update(dist, pairs, eta=0.01)
+        assert np.array_equal(new.mu, last.mu)
+        assert np.array_equal(new.log_precision, last.log_precision)
+        assert not np.array_equal(new.mu, every.mu)
 
     def test_first_update_with_single_entry_is_identity(self):
         g = default_grid("mnist")
         dist = initial_dist(g)
-        w = RewardWindow(z=10)
-        s = score(g, dist, g.points()[3])
-        w.push(0.7, s)
-        new = reinforce_update(dist, w, eta=0.1)
+        new = reinforce_update(dist, [(0.7, score(g, dist, 3))], eta=0.1)
         assert np.array_equal(new.mu, dist.mu)
         assert np.array_equal(new.log_precision, dist.log_precision)
 
     def test_update_matches_hand_computed_step(self):
         g = three_point_grid()
         dist = HyperDist(mu=np.zeros(1), log_precision=np.log(np.array([4.0])))
-        w = RewardWindow(z=10)
-        s1 = score(g, dist, np.array([-0.5]))
-        s2 = score(g, dist, np.array([0.5]))
-        w.push(0.0, s1)
-        w.push(1.0, s2)
-        new = reinforce_update(dist, w, eta=0.1)
+        s1 = score(g, dist, 0)
+        s2 = score(g, dist, 2)
+        new = reinforce_update(dist, [(0.0, s1), (1.0, s2)], eta=0.1)
         rbar = 0.5
         expect = dist.mu + 0.1 * ((0.0 - rbar) * s1[0] + (1.0 - rbar) * s2[0])
         assert np.allclose(new.mu, np.clip(expect, -0.5, 0.5), atol=1e-15)
@@ -252,18 +238,15 @@ class TestWindowAndUpdate:
     def test_mu_clamps_to_grid_hull(self):
         g = three_point_grid()
         dist = HyperDist(mu=np.array([0.45]), log_precision=np.array([0.0]))
-        w = RewardWindow(z=2)
-        w.push(0.0, score(g, dist, np.array([-0.5])))
-        w.push(50.0, score(g, dist, np.array([0.5])))  # huge reward far right
+        w = [(0.0, score(g, dist, 0)),
+             (50.0, score(g, dist, 2))]  # huge reward far right
         new = reinforce_update(dist, w, eta=5.0)
         assert new.mu[0] == 0.5
 
     def test_freeze_precision_keeps_log_precision(self):
         g = three_point_grid()
         dist = initial_dist(g)
-        w = RewardWindow(z=5)
-        w.push(0.1, score(g, dist, np.array([-0.5])))
-        w.push(0.9, score(g, dist, np.array([0.5])))
+        w = [(0.1, score(g, dist, 0)), (0.9, score(g, dist, 2))]
         new = reinforce_update(dist, w, eta=0.2, freeze_precision=True)
         assert np.array_equal(new.log_precision, dist.log_precision)
         assert not np.array_equal(new.mu, dist.mu)
@@ -271,16 +254,14 @@ class TestWindowAndUpdate:
     def test_descent_sign_flips_the_step(self):
         g = three_point_grid()
         dist = initial_dist(g)
-        w = RewardWindow(z=5)
-        w.push(0.1, score(g, dist, np.array([-0.5])))
-        w.push(0.9, score(g, dist, np.array([0.5])))
+        w = [(0.1, score(g, dist, 0)), (0.9, score(g, dist, 2))]
         up = reinforce_update(dist, w, eta=0.2, sign=1.0)
         down = reinforce_update(dist, w, eta=0.2, sign=-1.0)
         assert np.allclose(up.mu - dist.mu, -(down.mu - dist.mu), atol=1e-15)
 
     def test_empty_window_rejected(self):
         with pytest.raises(GridError):
-            reinforce_update(initial_dist(three_point_grid()), RewardWindow(z=2), 0.1)
+            reinforce_update(initial_dist(three_point_grid()), deque(maxlen=3), 0.1)
 
     def test_initial_dist_std(self):
         g = default_grid("mnist")
