@@ -1,11 +1,14 @@
 """Experiment configuration: strict JSON in, fully-defaulted dataclass out.
 
 The frozen dataclasses below are the schema: the parser takes the allowed
-keys, the required keys and each value's type from their fields.  Unknown
-keys are rejected (typos must not silently fall back to defaults), every
-field is type- and range-checked with the offending field named in the
-error, and the materialized config can be echoed back to JSON so a run
-directory records exactly what produced it.
+keys, the required keys and each value's type from their fields.  A
+`Literal[...]` field admits only its listed values, a `tuple[X, ...]` field
+is a non-empty JSON list of `X`, and a section whose constructor rejects
+its values (a tuner axis that does not increase) fails under its label.
+Unknown keys are rejected (typos must not silently fall back to defaults),
+and every error names the offending field.  `_validate` holds only the
+range and cross-field checks.  The materialized config can be echoed back
+to JSON so a run directory records exactly what produced it.
 """
 
 from __future__ import annotations
@@ -16,16 +19,11 @@ import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
-from typing import get_args, get_origin, get_type_hints
+from typing import Literal, get_args, get_origin, get_type_hints
 
 from .losses import LossConfig
 from .models import arch_for_task
-from .tuner import HyperAxis, HyperGrid, default_grid
-
-TASKS = ("mnist", "cifar10", "kws", "synthetic")
-PARTITIONS = ("iid", "non_iid")
-AGGREGATIONS = ("literal", "renormalized")
-UPDATE_SIGNS = ("ascent", "descent")
+from .tuner import GridError, HyperAxis, HyperGrid, default_grid
 
 
 class ConfigError(ValueError):
@@ -39,7 +37,7 @@ class TunerConfig:
     hyper_lr: float = 0.1
     init_std: float = 0.2
     freeze_precision: bool = False
-    update_sign: str = "ascent"
+    update_sign: Literal["ascent", "descent"] = "ascent"
 
 
 @dataclass(frozen=True)
@@ -61,15 +59,15 @@ class SyntheticConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    task: str
+    task: Literal["mnist", "cifar10", "kws", "synthetic"]
     seed: int
     output_dir: str = ""  # from_dict fills in runs/<task>-seed<seed>
     data_dir: str | None = None
-    partition: str = "iid"
+    partition: Literal["iid", "non_iid"] = "iid"
     use_tuner: bool = False
     use_matching: bool = False
     use_wd: bool = False
-    aggregation: str = "literal"
+    aggregation: Literal["literal", "renormalized"] = "literal"
     n_clients: int = 10
     client_fraction: float = 1.0
     rounds: int = 200
@@ -130,8 +128,15 @@ def _value(kind, v, label: str):
         if v is None:
             return None
         kind = get_args(kind)[0]
-        if get_origin(kind) is tuple:  # tuner.axes
-            return _parse_axes(v, label)
+    if get_origin(kind) is tuple:  # `tuple[X, ...]`
+        if not isinstance(v, list) or not v:
+            raise ConfigError(f"{label} must be a non-empty list, got {v!r}")
+        return tuple(_value(get_args(kind)[0], x, f"{label}[{i}]")
+                     for i, x in enumerate(v))
+    if get_origin(kind) is Literal:
+        if v not in get_args(kind):
+            raise ConfigError(f"{label} must be one of {get_args(kind)}, got {v!r}")
+        return v
     if kind is float:
         return _number(v, label)
     if not isinstance(v, kind) or (isinstance(v, bool) and kind is not bool):
@@ -154,37 +159,10 @@ def _parse_section(cls, d: dict, section: str = ""):
             values[f.name] = _value(kinds[f.name], d[f.name], label)
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"missing required key {f.name!r}{where}")
-    return cls(**values)
-
-
-def _parse_axes(raw, label: str) -> tuple[HyperAxis, ...]:
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"{label} must be a non-empty list")
-    axes = []
-    for i, entry in enumerate(raw):
-        where = f"{label}[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{where} must be an object")
-        unknown = set(entry) - {"name", "values", "integer"}
-        if unknown:
-            raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in section {where!r}")
-        if "name" not in entry:
-            raise ConfigError(f"missing required key 'name' in section {where!r}")
-        name = _value(str, entry["name"], f"{where}.name")
-        values = entry.get("values")
-        if (not isinstance(values, list) or not values
-                or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                       for v in values)):
-            raise ConfigError(f"{where}.values must be a list of numbers")
-        values = tuple(_number(v, f"{where}.values") for v in values)
-        integer = entry.get("integer", all(v == int(v) for v in values))
-        if not isinstance(integer, bool):
-            raise ConfigError(f"{where}.integer must be a boolean")
-        try:
-            axes.append(HyperAxis(name, values, integer))
-        except ValueError as e:
-            raise ConfigError(f"{where}: {e}") from e
-    return tuple(axes)
+    try:
+        return cls(**values)
+    except ValueError as e:  # the section's own invariants
+        raise ConfigError(f"{section}: {e}") from e
 
 
 def from_dict(d: dict) -> ExperimentConfig:
@@ -199,9 +177,7 @@ def from_dict(d: dict) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    """Range and cross-field checks; the types are already checked."""
-    if cfg.task not in TASKS:
-        raise ConfigError(f"task must be one of {TASKS}, got {cfg.task!r}")
+    """Range and cross-field checks; the parser checked types and listed values."""
     if cfg.seed < 0:
         raise ConfigError("seed must be non-negative")
     if not cfg.output_dir:
@@ -216,8 +192,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("tuner.hyper_lr must be non-negative")
     if tuner.init_std <= 0:
         raise ConfigError("tuner.init_std must be positive")
-    if tuner.update_sign not in UPDATE_SIGNS:
-        raise ConfigError(f"tuner.update_sign must be one of {UPDATE_SIGNS}")
     if schedule.initial_lr <= 0:
         raise ConfigError("schedule.initial_lr must be positive")
     if schedule.iterations < 1:
@@ -232,10 +206,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("synthetic.input_dim must be 784 to fit the mlp")
     if synthetic.spread <= 0:
         raise ConfigError("synthetic.spread must be positive")
-    if cfg.partition not in PARTITIONS:
-        raise ConfigError(f"partition must be one of {PARTITIONS}")
-    if cfg.aggregation not in AGGREGATIONS:
-        raise ConfigError(f"aggregation must be one of {AGGREGATIONS}")
     if cfg.use_matching and cfg.use_wd:
         raise ConfigError("use_matching and use_wd are mutually exclusive")
     if cfg.n_clients < 1:
@@ -262,20 +232,24 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError(
                 f"non_iid partition assigns one class per client, so n_clients "
                 f"must equal the class count ({classes}), got {cfg.n_clients}")
-    if cfg.use_tuner:
+    try:
         grid = cfg.hyper_grid()
+    except GridError as e:
+        raise ConfigError(f"tuner.axes: {e}") from e
+    if cfg.use_tuner:
         names = sorted(a.name for a in grid.axes)
         if names != ["learning_rate", "sgd_iterations"]:
             raise ConfigError(
                 "tuner.axes must define exactly 'learning_rate' and "
                 f"'sgd_iterations', got {names}")
-        for a in grid.axes:
+        for i, a in enumerate(grid.axes):
+            where = f"tuner.axes[{i}]"
             if a.name == "sgd_iterations" and not a.integer:
-                raise ConfigError("tuner axis 'sgd_iterations' must be integer")
+                raise ConfigError(f"{where}: axis 'sgd_iterations' must be integer")
             if a.name == "learning_rate" and a.values[0] <= 0:
-                raise ConfigError("tuner learning rates must be positive")
+                raise ConfigError(f"{where}: learning rates must be positive")
             if a.name == "sgd_iterations" and a.values[0] < 1:
-                raise ConfigError("tuner iteration counts must be at least 1")
+                raise ConfigError(f"{where}: iteration counts must be at least 1")
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:

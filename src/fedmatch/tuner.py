@@ -63,14 +63,17 @@ class HyperAxis:
 
     name: str
     values: tuple[float, ...]
-    integer: bool = False
+    integer: bool | None = None  # None: integral when every value is
 
     def __post_init__(self) -> None:
         if not self.values:
             raise GridError(f"axis {self.name!r} has no values")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise GridError(f"axis {self.name!r} values must be strictly increasing")
-        if self.integer and any(v != int(v) for v in self.values):
+        integral = all(float(v).is_integer() for v in self.values)
+        if self.integer is None:
+            object.__setattr__(self, "integer", integral)
+        elif self.integer and not integral:
             raise GridError(f"integer axis {self.name!r} has non-integer values")
 
     @cached_property
@@ -130,10 +133,9 @@ def default_grid(task: str = "mnist") -> HyperGrid:
     """The stock two-axis grid: learning rate x local SGD iterations."""
     lr = HyperAxis("learning_rate", (0.005, 0.01, 0.02, 0.05, 0.1, 0.2))
     if task == "kws":
-        iters = HyperAxis("sgd_iterations", (5.0, 10.0, 20.0, 30.0), integer=True)
+        iters = HyperAxis("sgd_iterations", (5.0, 10.0, 20.0, 30.0))
     else:
-        iters = HyperAxis("sgd_iterations", (10.0, 20.0, 30.0, 50.0, 80.0, 120.0),
-                          integer=True)
+        iters = HyperAxis("sgd_iterations", (10.0, 20.0, 30.0, 50.0, 80.0, 120.0))
     return HyperGrid(axes=(lr, iters))
 
 

@@ -1,17 +1,21 @@
 """Strict config parsing, validation messages, and hashing."""
 
+import copy
 import dataclasses
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedmatch import nn
 from fedmatch.config import (ConfigError, ExperimentConfig, config_hash, from_dict,
                              parse_config, to_dict)
-from fedmatch.federation import run_experiment
+from fedmatch.federation import run_experiment, run_round, setup_experiment
 from fedmatch.losses import LossConfig, total_loss_and_grads
 from fedmatch.metrics import MetricsSink
 from fedmatch.models import build_arch, build_matching_decoder
@@ -165,6 +169,19 @@ class TestValidation:
         with pytest.raises(ConfigError, match="update_sign"):
             parse({"tuner": {"axes": TUNER_AXES, "update_sign": "sideways"}})
 
+    @pytest.mark.parametrize("section, key, allowed", [
+        ("", "task", "('mnist', 'cifar10', 'kws', 'synthetic')"),
+        ("", "partition", "('iid', 'non_iid')"),
+        ("", "aggregation", "('literal', 'renormalized')"),
+        ("tuner", "update_sign", "('ascent', 'descent')"),
+    ], ids=["task", "partition", "aggregation", "update_sign"])
+    @pytest.mark.parametrize("value", ["other", 5])
+    def test_enumerated_fields_list_their_values(self, section, key, allowed, value):
+        label = f"{section}.{key}" if section else key
+        with pytest.raises(ConfigError) as err:
+            parse({section: {key: value}} if section else {key: value})
+        assert str(err.value) == f"{label} must be one of {allowed}, got {value!r}"
+
     @pytest.mark.parametrize("section, key, value", [
         ("loss", "matching_coeff", -1.0),
         ("loss", "wd_coeff", -1.0),
@@ -188,8 +205,29 @@ class TestValidation:
     def test_axis_values_must_be_sorted_unique(self):
         bad = [{"name": "learning_rate", "values": [0.1, 0.1, 0.2],
                 "integer": False}, TUNER_AXES[1]]
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^tuner\.axes\[0\]: "):
             parse({"use_tuner": True, "tuner": {"axes": bad}})
+
+    @pytest.mark.parametrize("use_tuner", [True, False])
+    def test_duplicate_axis_names_name_the_field(self, use_tuner):
+        # without the tuner the grid is never sampled, but the echo builds it
+        with pytest.raises(ConfigError, match=r"^tuner\.axes: duplicate axis names"):
+            parse({"use_tuner": use_tuner,
+                   "tuner": {"axes": [TUNER_AXES[0], TUNER_AXES[0]]}})
+
+    @pytest.mark.parametrize("axis, shown", [
+        ({"name": "learning_rate", "values": [0, 0.1]},
+         "tuner.axes[0]: learning rates must be positive"),
+        ({"name": "sgd_iterations", "values": [0, 10]},
+         "tuner.axes[0]: iteration counts must be at least 1"),
+        ({"name": "sgd_iterations", "values": [10, 20], "integer": False},
+         "tuner.axes[0]: axis 'sgd_iterations' must be integer"),
+    ], ids=["learning_rate", "iterations", "integer"])
+    def test_tuner_axis_errors_name_their_field(self, axis, shown):
+        other = TUNER_AXES[1] if axis["name"] == "learning_rate" else TUNER_AXES[0]
+        with pytest.raises(ConfigError) as err:
+            parse({"use_tuner": True, "tuner": {"axes": [axis, other]}})
+        assert str(err.value) == shown
 
 
 class TestTunerSection:
@@ -447,10 +485,10 @@ NON_FINITE = [
     ('{"loss": {"wd_coeff": 1%s}}' % ("0" * 400), "loss.wd_coeff", "inf"),
     ('{"tuner": {"axes": [{"name": "learning_rate", "values": [0.1, Infinity]},'
      ' {"name": "sgd_iterations", "values": [1, 2]}]}}',
-     "tuner.axes[0].values", "inf"),
+     "tuner.axes[0].values[1]", "inf"),
     ('{"tuner": {"axes": [{"name": "learning_rate", "values": [0.1]},'
      ' {"name": "sgd_iterations", "values": [NaN]}]}}',
-     "tuner.axes[1].values", "nan"),
+     "tuner.axes[1].values[0]", "nan"),
 ]
 
 
@@ -482,3 +520,119 @@ def test_readme_documents_every_config_field(f):
     assert f"`{f.name}`" in reference
     if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
         assert f"| `{f.name}` | required |" in reference
+
+
+# ---------------------------------------------------------------------------
+# Property: a small valid config with one or two mutations either runs a
+# round or fails with a ConfigError that names a config key.
+
+
+def _leaf_keys(d: dict, prefix: str = "") -> list[str]:
+    out = []
+    for k, v in d.items():
+        out += _leaf_keys(v, f"{prefix}{k}.") if isinstance(v, dict) else [prefix + k]
+    return out
+
+
+MINIMAL_ECHO = to_dict(from_dict(MINIMAL))
+SCHEMA_KEYS = _leaf_keys(MINIMAL_ECHO)
+SECTIONS = [k for k, v in MINIMAL_ECHO.items() if isinstance(v, dict)]
+MUTABLE_KEYS = [k for k in SCHEMA_KEYS if k not in ("task", "data_dir", "output_dir")]
+UNKNOWN_KEY = "bogus"
+DROP = "<drop>"  # a mutation value that removes the key
+
+SMALL_AXES = [{"name": "learning_rate", "values": [0.01, 0.05]},
+              {"name": "sgd_iterations", "values": [1, 2]}]
+SMALL_BASE = {
+    "task": "synthetic", "seed": 3, "n_clients": 2, "rounds": 1, "batch_size": 4,
+    "validation_size": 3, "parallel_clients": 2, "use_tuner": True,
+    "schedule": {"initial_lr": 0.05, "iterations": 2},
+    "synthetic": {"classes": 3, "per_class": 6, "test_per_class": 2},
+    "tuner": {"axes": SMALL_AXES},
+}
+
+
+@st.composite
+def small_configs(draw):
+    """A valid synthetic config that trains for a few milliseconds."""
+    return {
+        "task": "synthetic", "seed": draw(st.integers(0, 9)),
+        "n_clients": draw(st.integers(1, 4)), "rounds": 1,
+        "batch_size": draw(st.integers(1, 8)),
+        "validation_size": draw(st.integers(1, 4)),
+        "parallel_clients": draw(st.integers(1, 2)),
+        "use_tuner": draw(st.booleans()), "use_matching": draw(st.booleans()),
+        "schedule": {"initial_lr": 0.05, "iterations": draw(st.integers(1, 2))},
+        "synthetic": {"classes": draw(st.integers(2, 4)),
+                      "per_class": draw(st.integers(4, 8)), "test_per_class": 2},
+        "tuner": {"axes": SMALL_AXES},
+    }
+
+
+def _path(key: str) -> tuple[str, ...]:
+    return tuple(key.split("."))
+
+
+AXIS_ENTRIES = st.fixed_dictionaries(
+    {"name": st.sampled_from(["learning_rate", "sgd_iterations", "momentum"]),
+     "values": st.lists(st.sampled_from([-1, 0, 0.01, 0.5, 1, 2, 2.5]), max_size=3)},
+    optional={"integer": st.booleans()})
+MUTATIONS = st.one_of(
+    # a wrong-typed value or a small, possibly out-of-range number
+    st.tuples(st.sampled_from(MUTABLE_KEYS).map(_path),
+              st.sampled_from(["x", True, None, [1], {}])
+              | st.integers(-2, 3) | st.sampled_from([-1.0, 0.0, 1e-3, 1.5])),
+    st.tuples(st.sampled_from(["", *SECTIONS]).map(
+        lambda s: (*_path(s), UNKNOWN_KEY) if s else (UNKNOWN_KEY,)), st.just(1)),
+    st.tuples(st.sampled_from(MUTABLE_KEYS + SECTIONS).map(_path), st.just(DROP)),
+    st.tuples(st.just(("tuner", "axes")), st.lists(AXIS_ENTRIES, max_size=3)),
+)
+
+
+def _mutate(cfg: dict, path: tuple[str, ...], value) -> None:
+    *parents, key = path
+    for p in parents:
+        cfg = cfg.setdefault(p, {})
+        if not isinstance(cfg, dict):
+            return  # an earlier mutation replaced the section
+    if value == DROP:
+        cfg.pop(key, None)
+    else:
+        cfg[key] = value
+
+
+def _names_a_key(message: str) -> bool:
+    return any(re.search(rf"(?<![\w.]){re.escape(k)}(?!\w)", message)
+               for k in SCHEMA_KEYS + [UNKNOWN_KEY])
+
+
+DUPLICATE_AXES = [SMALL_AXES[0], SMALL_AXES[0]]
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(base=small_configs(), mutations=st.lists(MUTATIONS, min_size=1, max_size=2))
+@example(base=SMALL_BASE, mutations=[(("tuner", "axes"), DUPLICATE_AXES)])
+@example(base=SMALL_BASE, mutations=[(("use_tuner",), False),
+                                     (("tuner", "axes"), DUPLICATE_AXES)])
+@example(base=SMALL_BASE, mutations=[(("tuner", "axes"), [
+    {"name": "learning_rate", "values": [0, 0.1]}, SMALL_AXES[1]])])
+@example(base=SMALL_BASE, mutations=[(("tuner", "axes"), [
+    SMALL_AXES[0], {"name": "sgd_iterations", "values": [0, 1]}])])
+@example(base=SMALL_BASE, mutations=[(("tuner", "axes"), [
+    SMALL_AXES[0], {"name": "sgd_iterations", "values": [1, 2], "integer": False}])])
+def test_mutated_configs_run_or_name_a_key(base, mutations):
+    raw = copy.deepcopy(base)
+    for path, value in mutations:
+        _mutate(raw, path, value)
+    try:
+        cfg = from_dict(raw)
+        echoed = to_dict(cfg)  # `fedmatch run` writes the echo before round 1
+        assert to_dict(from_dict(echoed)) == echoed
+        server, clients, arch, decoder, _ = setup_experiment(cfg)
+    except ConfigError as e:
+        assert _names_a_key(str(e)), str(e)
+        return
+    try:
+        run_round(server, clients, arch, decoder, cfg)
+    except nn.NonFiniteError:
+        pass  # training diverged: a run-time failure, not a config error

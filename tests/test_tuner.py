@@ -49,6 +49,11 @@ class TestAxesAndGrid:
         with pytest.raises(GridError):
             HyperAxis("iters", (10.0, 20.5), integer=True)
 
+    def test_omitted_integer_flag_is_inferred_from_the_values(self):
+        assert HyperAxis("iters", (10.0, 20.0)).integer is True
+        assert HyperAxis("lr", (0.5, 1.0)).integer is False
+        assert HyperAxis("iters", (10.0, 20.0), integer=False).integer is False
+
     def test_default_grid_shapes(self):
         g = default_grid("mnist")
         assert g.shape == (6, 6) and g.size == 36
