@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import math
 import re
 from pathlib import Path
 
@@ -26,6 +27,43 @@ TUNER_AXES = [
     {"name": "learning_rate", "values": [0.01, 0.05, 0.1], "integer": False},
     {"name": "sgd_iterations", "values": [10, 20]},
 ]
+
+
+TINY = math.nextafter(0.0, 1.0)  # the smallest positive float
+
+# Every single-field bound: (dotted key, last accepted value, first rejected
+# value), one row per bound.  Written out by hand, not read from the schema,
+# so that a bound moved in the schema fails here.
+BOUNDS = [
+    ("seed", 0, -1),
+    ("n_clients", 1, 0),
+    ("client_fraction", TINY, 0.0),
+    ("client_fraction", 1.0, math.nextafter(1.0, 2.0)),
+    ("rounds", 0, -1),
+    ("batch_size", 1, 0),
+    ("validation_size", 1, 0),
+    ("eval_every", 1, 0),
+    ("parallel_clients", 1, 0),
+    ("loss.matching_coeff", 0.0, -TINY),
+    ("loss.wd_coeff", 0.0, -TINY),
+    ("loss.min_entropy", 0.0, -TINY),
+    ("tuner.window", 0, -1),
+    ("tuner.hyper_lr", 0.0, -TINY),
+    ("tuner.init_std", TINY, 0.0),
+    ("schedule.initial_lr", TINY, 0.0),
+    ("schedule.iterations", 1, 0),
+    ("synthetic.classes", 2, 1),
+    ("synthetic.classes", 10, 11),
+    ("synthetic.per_class", 1, 0),
+    ("synthetic.test_per_class", 1, 0),
+    ("synthetic.spread", TINY, 0.0),
+]
+
+
+def at_key(key, value):
+    """The override that sets dotted `key` to `value`."""
+    section, _, name = key.rpartition(".")
+    return {section: {name: value}} if section else {key: value}
 
 
 def parse(overrides=None, base=MINIMAL):
@@ -181,6 +219,13 @@ class TestValidation:
         with pytest.raises(ConfigError) as err:
             parse({section: {key: value}} if section else {key: value})
         assert str(err.value) == f"{label} must be one of {allowed}, got {value!r}"
+
+    @pytest.mark.parametrize("key, accepted, rejected", BOUNDS,
+                             ids=[f"{k}={r!r}" for k, _, r in BOUNDS])
+    def test_bounds_are_pinned(self, key, accepted, rejected):
+        parse(at_key(key, accepted))
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)} "):
+            parse(at_key(key, rejected))
 
     @pytest.mark.parametrize("section, key, value", [
         ("loss", "matching_coeff", -1.0),
