@@ -38,7 +38,10 @@ def resolve_output_dir(output_dir: str) -> Path:
 def cmd_run(args) -> int:
     cfg = parse_config(args.config)
     run_dir = resolve_output_dir(cfg.output_dir)
-    if (run_dir / "rounds.jsonl").exists():
+    # A run that failed during set-up leaves its record files empty, and the
+    # sink appends, so only a file that holds a record blocks a rerun.
+    if any((run_dir / name).exists() and (run_dir / name).stat().st_size
+           for name in ("rounds.jsonl", "evals.jsonl")):
         raise FileExistsError(
             f"{run_dir} already contains run artifacts; pick a fresh output_dir")
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -49,7 +52,6 @@ def cmd_run(args) -> int:
     with MetricsSink(run_dir) as sink:
         result = run_experiment(cfg, sink=sink, progress=progress)
     write_summary(run_dir, {
-        "schema_version": 1,
         "config_hash": config_hash(cfg),
         "task": cfg.task,
         "seed": cfg.seed,

@@ -3,12 +3,15 @@
 The frozen dataclasses below are the schema: the parser takes the allowed
 keys, the required keys and each value's type from their fields.  A
 `Literal[...]` field admits only its listed values, a `tuple[X, ...]` field
-is a non-empty JSON list of `X`, and a section whose constructor rejects
-its values (a tuner axis that does not increase) fails under its label.
-Unknown keys are rejected (typos must not silently fall back to defaults),
-and every error names the offending field.  `_validate` holds only the
-range and cross-field checks.  The materialized config can be echoed back
-to JSON so a run directory records exactly what produced it.
+is a non-empty JSON list of `X`, a field whose metadata declares a bound
+(`"min"`, `"above"` for a strict lower bound, `"max"`) admits only values
+within it, and a section whose constructor rejects its values (a tuner
+axis that does not increase) fails under its label.  Unknown keys are
+rejected (typos must not silently fall back to defaults), and every error
+names the offending field.  `_validate` holds only the rules that read
+more than one field, plus two pinned values (a non-empty `output_dir`,
+`synthetic.input_dim`).  The materialized config can be echoed back to
+JSON so a run directory records exactly what produced it.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
@@ -33,9 +37,9 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class TunerConfig:
     axes: tuple[HyperAxis, ...] | None = None  # None -> task default grid
-    window: int = 10
-    hyper_lr: float = 0.1
-    init_std: float = 0.2
+    window: int = field(default=10, metadata={"min": 0})
+    hyper_lr: float = field(default=0.1, metadata={"min": 0})
+    init_std: float = field(default=0.2, metadata={"above": 0})
     freeze_precision: bool = False
     update_sign: Literal["ascent", "descent"] = "ascent"
 
@@ -44,23 +48,23 @@ class TunerConfig:
 class ScheduleConfig:
     """Fixed baseline: lr halves every rounds/3, iteration count constant."""
 
-    initial_lr: float = 0.1
-    iterations: int = 30
+    initial_lr: float = field(default=0.1, metadata={"above": 0})
+    iterations: int = field(default=30, metadata={"min": 1})
 
 
 @dataclass(frozen=True)
 class SyntheticConfig:
-    classes: int = 10
-    per_class: int = 200
-    test_per_class: int = 50
+    classes: int = field(default=10, metadata={"min": 2, "max": 10})
+    per_class: int = field(default=200, metadata={"min": 1})
+    test_per_class: int = field(default=50, metadata={"min": 1})
     input_dim: int = 784
-    spread: float = 1.0
+    spread: float = field(default=1.0, metadata={"above": 0})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     task: Literal["mnist", "cifar10", "kws", "synthetic"]
-    seed: int
+    seed: int = field(metadata={"min": 0})
     output_dir: str = ""  # from_dict fills in runs/<task>-seed<seed>
     data_dir: str | None = None
     partition: Literal["iid", "non_iid"] = "iid"
@@ -68,14 +72,14 @@ class ExperimentConfig:
     use_matching: bool = False
     use_wd: bool = False
     aggregation: Literal["literal", "renormalized"] = "literal"
-    n_clients: int = 10
-    client_fraction: float = 1.0
-    rounds: int = 200
-    batch_size: int = 64
-    validation_size: int = 1000
-    eval_every: int = 10
+    n_clients: int = field(default=10, metadata={"min": 1})
+    client_fraction: float = field(default=1.0, metadata={"above": 0, "max": 1})
+    rounds: int = field(default=200, metadata={"min": 0})
+    batch_size: int = field(default=64, metadata={"min": 1})
+    validation_size: int = field(default=1000, metadata={"min": 1})
+    eval_every: int = field(default=10, metadata={"min": 1})
     train_subset: int | None = None
-    parallel_clients: int = 1
+    parallel_clients: int = field(default=1, metadata={"min": 1})
     loss: LossConfig = field(default_factory=LossConfig)
     tuner: TunerConfig = field(default_factory=TunerConfig)
     schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
@@ -104,6 +108,10 @@ def strip_identity(d: dict) -> dict:
 
 
 _KIND_NAMES = {bool: "a boolean", int: "an integer", str: "a string"}
+
+# The bounds a field may declare in its metadata: (key, test, words).
+_BOUNDS = (("min", operator.ge, "at least"), ("above", operator.gt, "greater than"),
+           ("max", operator.le, "at most"))
 
 
 def _number(v, label: str) -> float:
@@ -145,7 +153,7 @@ def _value(kind, v, label: str):
 
 
 def _parse_section(cls, d: dict, section: str = ""):
-    """Build `cls` from `d`: keys, required keys and types come from its fields."""
+    """Build `cls` from `d`: keys, required keys, types and bounds come from its fields."""
     where = f" in section {section!r}" if section else ""
     fields_ = fields(cls)
     unknown = set(d) - {f.name for f in fields_}
@@ -156,7 +164,11 @@ def _parse_section(cls, d: dict, section: str = ""):
     for f in fields_:
         if f.name in d:
             label = f"{section}.{f.name}" if section else f.name
-            values[f.name] = _value(kinds[f.name], d[f.name], label)
+            v = values[f.name] = _value(kinds[f.name], d[f.name], label)
+            for key, ok, words in _BOUNDS:
+                bound = f.metadata.get(key)
+                if bound is not None and v is not None and not ok(v, bound):
+                    raise ConfigError(f"{label} must be {words} {bound}, got {v!r}")
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"missing required key {f.name!r}{where}")
     try:
@@ -177,53 +189,16 @@ def from_dict(d: dict) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    """Range and cross-field checks; the parser checked types and listed values."""
-    if cfg.seed < 0:
-        raise ConfigError("seed must be non-negative")
+    """Cross-field rules and two pinned values; the parser checked each
+    field's type, listed values and range."""
     if not cfg.output_dir:
         raise ConfigError("output_dir must be non-empty")
-    loss, tuner, schedule, synthetic = cfg.loss, cfg.tuner, cfg.schedule, cfg.synthetic
-    for name in ("matching_coeff", "wd_coeff", "min_entropy"):
-        if getattr(loss, name) < 0:
-            raise ConfigError(f"loss.{name} must be non-negative")
-    if tuner.window < 0:
-        raise ConfigError("tuner.window must be non-negative")
-    if tuner.hyper_lr < 0:
-        raise ConfigError("tuner.hyper_lr must be non-negative")
-    if tuner.init_std <= 0:
-        raise ConfigError("tuner.init_std must be positive")
-    if schedule.initial_lr <= 0:
-        raise ConfigError("schedule.initial_lr must be positive")
-    if schedule.iterations < 1:
-        raise ConfigError("schedule.iterations must be at least 1")
-    if not 2 <= synthetic.classes <= 10:
-        raise ConfigError("synthetic.classes must be between 2 and 10")
-    if synthetic.per_class < 1:
-        raise ConfigError("synthetic.per_class must be positive")
-    if synthetic.test_per_class < 1:
-        raise ConfigError("synthetic.test_per_class must be positive")
-    if synthetic.input_dim != 784:
+    if cfg.synthetic.input_dim != 784:
         raise ConfigError("synthetic.input_dim must be 784 to fit the mlp")
-    if synthetic.spread <= 0:
-        raise ConfigError("synthetic.spread must be positive")
     if cfg.use_matching and cfg.use_wd:
         raise ConfigError("use_matching and use_wd are mutually exclusive")
-    if cfg.n_clients < 1:
-        raise ConfigError("n_clients must be at least 1")
-    if not 0 < cfg.client_fraction <= 1:
-        raise ConfigError("client_fraction must be in (0, 1]")
-    if cfg.rounds < 0:
-        raise ConfigError("rounds must be non-negative")
-    if cfg.batch_size < 1:
-        raise ConfigError("batch_size must be at least 1")
-    if cfg.validation_size < 1:
-        raise ConfigError("validation_size must be at least 1")
-    if cfg.eval_every < 1:
-        raise ConfigError("eval_every must be at least 1")
     if cfg.train_subset is not None and cfg.train_subset < cfg.n_clients:
         raise ConfigError("train_subset must cover at least one sample per client")
-    if cfg.parallel_clients < 1:
-        raise ConfigError("parallel_clients must be at least 1")
     if cfg.task != "synthetic" and not cfg.data_dir:
         raise ConfigError(f"data_dir is required for task {cfg.task!r}")
     if cfg.partition == "non_iid":

@@ -79,7 +79,7 @@ class ServerState:
     current_loss: float = float("nan")  # validation loss at `params`
     grid: HyperGrid | None = None
     dist: HyperDist | None = None
-    window: deque | None = None  # (reward, score) pairs, capacity tuner.window + 1
+    window: deque | None = None  # (reward, score) pairs, capacity min(tuner.window, rounds) + 1
 
 
 @dataclass(frozen=True)
@@ -479,7 +479,9 @@ def setup_experiment(cfg: ExperimentConfig):
     if cfg.use_tuner:
         server.grid = cfg.hyper_grid()
         server.dist = initial_dist(server.grid, cfg.tuner.init_std)
-        server.window = deque(maxlen=cfg.tuner.window + 1)
+        # A run appends one pair per round, so a window wider than the run
+        # never drops one; capping it keeps a huge `tuner.window` allocatable.
+        server.window = deque(maxlen=min(cfg.tuner.window, cfg.rounds) + 1)
     server.current_loss = evaluate_loss(arch.graph, params, val.samples, val.labels)
     return server, clients, arch, decoder, test
 

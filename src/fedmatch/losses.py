@@ -20,7 +20,7 @@ in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -167,11 +167,14 @@ def matching_backward(theta: ParamSet, stage_data):
 
 @dataclass(frozen=True)
 class LossConfig:
-    """The `loss` section of the experiment config: term weights and switches."""
+    """The `loss` section of the experiment config: term weights and switches.
 
-    matching_coeff: float = 1.0
-    wd_coeff: float = 0.1
-    min_entropy: float = 0.5  # nats
+    The config parser checks the bounds in each field's metadata.
+    """
+
+    matching_coeff: float = field(default=1.0, metadata={"min": 0})
+    wd_coeff: float = field(default=0.1, metadata={"min": 0})
+    min_entropy: float = field(default=0.5, metadata={"min": 0})  # nats
     use_er: bool = True
     match_input_site: bool = True
 

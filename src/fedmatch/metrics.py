@@ -5,7 +5,7 @@ A run directory contains:
 * config.json   - the materialized config that produced the run
 * rounds.jsonl  - one record per round, schema_version tagged
 * evals.jsonl   - periodic test accuracy (round 0 included)
-* summary.json  - final numbers, written once at the end
+* summary.json  - final numbers, schema_version tagged, written once at the end
 
 Records are append-only and flushed per write.  Nothing time- or
 host-dependent goes into these files: rerunning a config with the same
@@ -67,6 +67,7 @@ class MetricsSink:
 
 def write_summary(run_dir: str | Path, summary: dict) -> None:
     path = Path(run_dir) / "summary.json"
+    summary = {"schema_version": SCHEMA_VERSION, **summary}
     path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 

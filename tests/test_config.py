@@ -227,6 +227,18 @@ class TestValidation:
         with pytest.raises(ConfigError, match=rf"^{re.escape(key)} "):
             parse(at_key(key, rejected))
 
+    @pytest.mark.parametrize("override, shown", [
+        ({"n_clients": 0}, "n_clients must be at least 1, got 0"),
+        ({"client_fraction": 0}, "client_fraction must be greater than 0, got 0.0"),
+        ({"client_fraction": 1.5}, "client_fraction must be at most 1, got 1.5"),
+        ({"synthetic": {"classes": 11}}, "synthetic.classes must be at most 10, got 11"),
+        ({"loss": {"min_entropy": -1}}, "loss.min_entropy must be at least 0, got -1.0"),
+    ], ids=["min", "above", "max", "section max", "section min"])
+    def test_range_errors_show_bound_and_value(self, override, shown):
+        with pytest.raises(ConfigError) as err:
+            parse(override)
+        assert str(err.value) == shown
+
     @pytest.mark.parametrize("section, key, value", [
         ("loss", "matching_coeff", -1.0),
         ("loss", "wd_coeff", -1.0),

@@ -455,6 +455,16 @@ class TestRounds:
             assert all(rec.mu_norm == mu0 for rec in records)
             assert tuple(float(v) for v in server.dist.mu) == mu0
 
+    def test_huge_tuner_window_runs_like_one_wider_than_the_run(self, tmp_path):
+        def rounds_bytes(window):
+            cfg = make_cfg({"rounds": 2, "use_tuner": True,
+                            "tuner": {"window": window}})
+            with MetricsSink(tmp_path / str(window)) as sink:
+                run_experiment(cfg, sink=sink)
+            return (tmp_path / str(window) / "rounds.jsonl").read_bytes()
+
+        assert rounds_bytes(2**63) == rounds_bytes(10)
+
 
 class TestExperiments:
     def test_record_and_eval_counts(self):

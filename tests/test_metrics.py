@@ -110,7 +110,6 @@ class TestTable:
         with MetricsSink(run_dir) as sink:
             result = run_experiment(cfg, sink=sink)
         write_summary(run_dir, {
-            "schema_version": 1,
             "config_hash": config_hash(cfg),
             "final_test_accuracy": result.final_test_accuracy,
             "final_validation_loss": result.final_validation_loss,
@@ -164,6 +163,7 @@ class TestCli:
         for name in ("config.json", "rounds.jsonl", "evals.jsonl", "summary.json"):
             assert (run_dir / name).exists()
         summary = json.loads((run_dir / "summary.json").read_text())
+        assert summary["schema_version"] == SCHEMA_VERSION
         assert 0.0 <= summary["final_test_accuracy"] <= 1.0
         assert len(summary["config_hash"]) == 12
 
@@ -172,6 +172,19 @@ class TestCli:
         assert main(["run", str(p), "--quiet"]) == 0
         assert main(["run", str(p), "--quiet"]) == 1
         assert "already contains" in capsys.readouterr().err
+
+    def test_rerun_after_a_failed_setup_writes_a_fresh_runs_bytes(self, tmp_path, capsys):
+        # 100 training samples cannot cover 200 clients: set-up fails after
+        # the run directory, its config and its empty record files exist
+        assert main(["run", str(self._write_config(tmp_path, {"n_clients": 200})),
+                     "--quiet"]) == 1
+        assert "n_clients" in capsys.readouterr().err
+        assert main(["run", str(self._write_config(tmp_path)), "--quiet"]) == 0
+        fresh = tmp_path / "fresh"
+        assert main(["run", str(self._write_config(tmp_path, {"output_dir": str(fresh)})),
+                     "--quiet"]) == 0
+        for name in ("rounds.jsonl", "evals.jsonl"):
+            assert (tmp_path / "run" / name).read_bytes() == (fresh / name).read_bytes()
 
     def test_echoed_config_reparses_to_same_hash(self, tmp_path):
         from fedmatch.config import config_hash, parse_config
