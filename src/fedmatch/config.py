@@ -12,6 +12,9 @@ names the offending field.  `_validate` holds only the rules that read
 more than one field, plus two pinned values (a non-empty `output_dir`,
 `synthetic.input_dim`).  The materialized config can be echoed back to
 JSON so a run directory records exactly what produced it.
+
+The schema is the only place that checks a config value's range: the
+modules a value flows into trust it and do not check it again.
 """
 
 from __future__ import annotations
@@ -39,7 +42,9 @@ class TunerConfig:
     axes: tuple[HyperAxis, ...] | None = None  # None -> task default grid
     window: int = field(default=10, metadata={"min": 0})
     hyper_lr: float = field(default=0.1, metadata={"min": 0})
-    init_std: float = field(default=0.2, metadata={"above": 0})
+    # The tuner keeps precision std**-2; from 1e-150 up, the summed
+    # precision * (h - mu)**2 over two axes with |h - mu| <= 1 stays finite.
+    init_std: float = field(default=0.2, metadata={"min": 1e-150})
     freeze_precision: bool = False
     update_sign: Literal["ascent", "descent"] = "ascent"
 

@@ -220,8 +220,6 @@ def make_synthetic(rng: np.random.Generator, classes: int = 10,
     scaled down by 4 at the end so their magnitude resembles unit-range
     pixel data and the same hyper-parameter ranges behave comparably.
     """
-    if classes < 2 or per_class < 1 or input_dim < 1:
-        raise ValueError("need classes >= 2, per_class >= 1, input_dim >= 1")
     means = rng.normal(0.0, 1.0, (classes, input_dim))
     labels = np.repeat(np.arange(classes, dtype=np.int64), per_class)
     noise = rng.normal(0.0, spread, (labels.size, input_dim))
@@ -240,10 +238,9 @@ def stratified_holdout(dataset: Dataset, holdout_size: int,
 
     Per-class quotas are as even as integer arithmetic allows; remainders
     go to the largest classes first so the holdout hits the exact size.
+    Callers pass 0 < holdout_size < dataset.n.
     """
     n = dataset.n
-    if not 0 < holdout_size < n:
-        raise ValueError(f"holdout size {holdout_size} out of range for n={n}")
     classes, counts = np.unique(dataset.labels, return_counts=True)
     quota = np.floor(holdout_size * counts / n).astype(int)
     short = holdout_size - quota.sum()
@@ -264,34 +261,13 @@ def stratified_holdout(dataset: Dataset, holdout_size: int,
     return dataset.subset(rest), dataset.subset(hold)
 
 
-def stratified_subset(dataset: Dataset, size: int,
-                      rng: np.random.Generator) -> Dataset:
-    """A class-stratified subset of `size` samples (for smoke-scale runs)."""
-    if size >= dataset.n:
-        return dataset
-    return stratified_holdout(dataset, size, rng)[1]
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Disjoint client shards covering part or all of a dataset."""
-
-    client_indices: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        allidx = np.concatenate(self.client_indices) if self.client_indices else \
-            np.empty(0, dtype=np.int64)
-        if allidx.size != np.unique(allidx).size:
-            raise ValueError("client shards overlap")
-
-
 def partition_iid(n_samples: int, n_clients: int,
-                  rng: np.random.Generator) -> Partition:
-    """Random equal split; the remainder spreads one extra sample round-robin."""
-    if n_clients < 1:
-        raise ValueError("need at least one client")
-    if n_clients > n_samples:
-        raise ValueError(f"cannot split {n_samples} samples across {n_clients} clients")
+                  rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """Client shards of a random equal split, one index array per client.
+
+    The remainder spreads one extra sample round-robin.  Callers pass
+    1 <= n_clients <= n_samples.
+    """
     perm = rng.permutation(n_samples)
     base, extra = divmod(n_samples, n_clients)
     shards = []
@@ -300,11 +276,11 @@ def partition_iid(n_samples: int, n_clients: int,
         size = base + (1 if k < extra else 0)
         shards.append(np.sort(perm[pos:pos + size]))
         pos += size
-    return Partition(tuple(shards))
+    return tuple(shards)
 
 
-def partition_by_class(labels: np.ndarray, n_clients: int) -> Partition:
-    """Pathological non-iid split: client k holds exactly class k.
+def partition_by_class(labels: np.ndarray, n_clients: int) -> tuple[np.ndarray, ...]:
+    """Pathological non-iid split: client k holds exactly the indices of class k.
 
     Requires the label set to be exactly {0, ..., n_clients - 1}.
     """
@@ -314,5 +290,4 @@ def partition_by_class(labels: np.ndarray, n_clients: int) -> Partition:
         raise ValueError(
             f"class partition needs labels exactly 0..{n_clients - 1}, "
             f"found classes {present.tolist()}")
-    shards = tuple(np.flatnonzero(labels == k) for k in range(n_clients))
-    return Partition(shards)
+    return tuple(np.flatnonzero(labels == k) for k in range(n_clients))

@@ -58,8 +58,6 @@ def er_loss(logits: np.ndarray, min_entropy: float):
     dH/dz_j = -p_j (log p_j + H), so where H < min_entropy the hinge
     contributes p_j (log p_j + H) / B to the logits gradient.
     """
-    if min_entropy < 0:
-        raise ValueError("min_entropy must be non-negative")
     b = logits.shape[0]
     p = softmax(logits)
     # p log p -> 0 as p -> 0; clamp only inside the log.

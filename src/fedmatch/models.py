@@ -95,11 +95,8 @@ def build_arch(name: str) -> ModelArch:
 
 def arch_for_task(task: str) -> str:
     """The architecture each task trains."""
-    table = {"mnist": "mnist_mlp", "cifar10": "cifar_cnn",
-             "kws": "kws_cnn", "synthetic": "mnist_mlp"}
-    if task not in table:
-        raise ValueError(f"unknown task {task!r}")
-    return table[task]
+    return {"mnist": "mnist_mlp", "cifar10": "cifar_cnn",
+            "kws": "kws_cnn", "synthetic": "mnist_mlp"}[task]
 
 
 def match_sites(graph: ModelGraph, include_input: bool = True) -> tuple[int, ...]:

@@ -272,8 +272,6 @@ class ParamSet(Mapping):
 
 def sgd_step(params: ParamSet, grads: ParamSet, lr: float) -> ParamSet:
     """One vanilla SGD step: params - lr * grads, as a new ParamSet."""
-    if lr < 0:
-        raise ValueError("learning rate must be non-negative")
     return params.zip_with(grads, lambda p, g: p - lr * g)
 
 

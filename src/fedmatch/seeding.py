@@ -30,6 +30,4 @@ def substream(seed: int, purpose: int, *path: int) -> np.random.Generator:
     Distinct paths give statistically independent streams; the same path
     always gives the same stream.
     """
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
     return np.random.default_rng(np.random.SeedSequence((seed, purpose, *path)))

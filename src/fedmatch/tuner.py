@@ -167,8 +167,6 @@ class HyperDist:
 
 def initial_dist(grid: HyperGrid, std: float = 0.2) -> HyperDist:
     """Centered distribution with per-axis std `std` in normalized coords."""
-    if std <= 0:
-        raise GridError("initial std must be positive")
     d = grid.ndim
     return HyperDist(mu=np.zeros(d),
                      log_precision=np.full(d, -2.0 * np.log(std)))
@@ -185,8 +183,6 @@ def _log_unnorm(grid: HyperGrid, dist: HyperDist) -> np.ndarray:
 
 def grid_probs(grid: HyperGrid, dist: HyperDist) -> np.ndarray:
     """P(h | psi) for every grid point; sums to 1."""
-    if dist.mu.shape != (grid.ndim,):
-        raise GridError(f"distribution dim {dist.mu.shape} vs grid ndim {grid.ndim}")
     logw = _log_unnorm(grid, dist)
     logw -= logw.max()
     w = np.exp(logw)
@@ -235,12 +231,6 @@ def reinforce_update(dist: HyperDist, window: Sequence[tuple[float, np.ndarray]]
     descends, for replicating the opposite convention.  mu is clamped to
     the normalized hull after the step.
     """
-    if len(window) == 0:
-        raise GridError("cannot update from an empty window")
-    if eta < 0:
-        raise ValueError("eta must be non-negative")
-    if sign not in (1.0, -1.0):
-        raise ValueError("sign must be +1 or -1")
     rbar = np.array([r for r, _ in window]).mean()
     delta = np.zeros((2, dist.mu.size))
     for r_tau, s_tau in window:

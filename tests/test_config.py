@@ -49,7 +49,7 @@ BOUNDS = [
     ("loss.min_entropy", 0.0, -TINY),
     ("tuner.window", 0, -1),
     ("tuner.hyper_lr", 0.0, -TINY),
-    ("tuner.init_std", TINY, 0.0),
+    ("tuner.init_std", 1e-150, math.nextafter(1e-150, 0.0)),
     ("schedule.initial_lr", TINY, 0.0),
     ("schedule.iterations", 1, 0),
     ("synthetic.classes", 2, 1),
@@ -693,3 +693,23 @@ def test_mutated_configs_run_or_name_a_key(base, mutations):
         run_round(server, clients, arch, decoder, cfg)
     except nn.NonFiniteError:
         pass  # training diverged: a run-time failure, not a config error
+
+
+@pytest.mark.parametrize("tuned", [True, False], ids=["tuner+matching", "plain"])
+@pytest.mark.parametrize("key, accepted", [(k, a) for k, a, _ in BOUNDS],
+                         ids=[f"{k}={a!r}" for k, a, _ in BOUNDS])
+def test_last_accepted_bounds_run(key, accepted, tuned):
+    """A value the schema accepts either trains or fails with a ConfigError
+    naming a key: nothing downstream re-checks a bounded field."""
+    raw = copy.deepcopy({**SMALL_BASE, "rounds": 2, "use_tuner": tuned,
+                         "use_matching": tuned})
+    _mutate(raw, _path(key), accepted)
+    try:
+        cfg = from_dict(raw)
+        server, clients, arch, decoder, _ = setup_experiment(cfg)
+    except ConfigError as e:
+        assert _names_a_key(str(e)), str(e)
+        return
+    for _ in range(2):
+        run_round(server, clients, arch, decoder, cfg)
+    assert server.round == 2

@@ -86,10 +86,6 @@ class TestSelectClients:
         b = select_clients(20, 0.3, np.random.default_rng(5))
         assert a == b
 
-    def test_bad_fraction(self):
-        with pytest.raises(ValueError):
-            select_clients(10, 0.0, np.random.default_rng(0))
-
 
 class TestBatchIndices:
     def test_every_batch_full_when_shard_is_larger(self):
@@ -244,13 +240,6 @@ class TestAggregate:
         fwd = aggregate(w, list(results), 40)
         rev = aggregate(w, list(reversed(results)), 40)
         assert params_equal(fwd, rev)
-
-    def test_empty_and_bad_mode_rejected(self):
-        _, w = self._setup()
-        with pytest.raises(ValueError):
-            aggregate(w, [], 10)
-        with pytest.raises(ValueError):
-            aggregate(w, [self._result(0, 10, w)], 10, "mean")
 
     @pytest.mark.parametrize("bad", [
         pytest.param({"0.b": np.zeros(1)}, id="bias-shape"),

@@ -106,10 +106,6 @@ class TestEntropyFloor:
         loss, _ = er_loss(z, 0.8)
         assert np.isclose(loss, 0.8 - np.log(2.0), atol=1e-12)
 
-    def test_negative_floor_rejected(self):
-        with pytest.raises(ValueError):
-            er_loss(np.zeros((1, 2)), -0.1)
-
 
 class TestWeightDivergence:
     def test_value_is_summed_squared_distance(self):

@@ -264,10 +264,6 @@ class TestWindowAndUpdate:
         down = reinforce_update(dist, w, eta=0.2, sign=-1.0)
         assert np.allclose(up.mu - dist.mu, -(down.mu - dist.mu), atol=1e-15)
 
-    def test_empty_window_rejected(self):
-        with pytest.raises(GridError):
-            reinforce_update(initial_dist(three_point_grid()), deque(maxlen=3), 0.1)
-
     def test_initial_dist_std(self):
         g = default_grid("mnist")
         dist = initial_dist(g, std=0.2)
