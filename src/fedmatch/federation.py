@@ -423,9 +423,9 @@ def setup_experiment(cfg: ExperimentConfig):
     train, test = _load_task_data(cfg)
     arch = build_arch(cfg.arch_name)
     if train.samples.shape[1:] != arch.graph.input_shape:
-        raise ValueError(
-            f"task data shape {train.samples.shape[1:]} does not fit "
-            f"{arch.name} input {arch.graph.input_shape}")
+        raise ConfigError(
+            f"data_dir {cfg.data_dir!r}: {cfg.task} samples of shape "
+            f"{train.samples.shape[1:]} do not fit {arch.name} input {arch.graph.input_shape}")
 
     if cfg.train_subset is not None and cfg.train_subset < train.n:
         sub_rng = seeding.substream(cfg.seed, seeding.TRAIN_SUBSET)

@@ -128,7 +128,8 @@ def matching_loss(local_trace: ForwardTrace, fixed_trace: ForwardTrace,
         if out.shape != target.shape:
             raise nn.ShapeError(
                 f"stage {stage.index} output {out.shape} vs target {target.shape}")
-        resid = out - target
+        # Channel-last operands; a C-order residual keeps the sum's bytes.
+        resid = np.subtract(out, target, order="C")
         b = resid.shape[0]
         total += float((resid * resid).sum()) / b
         stage_data.append((stage, cache, resid))

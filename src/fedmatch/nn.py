@@ -38,6 +38,16 @@ channels take the gradient's, 20 MB instead of 210 MB for cifar_cnn's
 32 -> 3 stage at B=32, and their input gradient runs over it in the same
 slices.
 
+Layout: conv, transposed-conv, relu and pool activations keep NCHW shapes
+but are channel-last in memory, as PyTorch's `channels_last` format is.
+A conv returns the NCHW view of the channel-last buffer its GEMM filled,
+so the next conv pads and im2cols it without a transposing copy, and a
+maxpool compares contiguous runs of channels.  numpy sums in memory
+order, so three places keep C order to keep every byte: a conv's bias
+gradient sums an NCHW copy of its output gradient (`_conv2d_grads`), the
+matching residual is built in C order (`losses.matching_loss`), and
+`flatten` copies into NCHW order, the order of the dense weights' rows.
+
 Freed blocks stay in the malloc heap (`_keep_freed_blocks`, on import).
 glibc otherwise maps every block of 32 MiB or more straight from the
 kernel and unmaps it on free, and trims the heap top, so each training
@@ -412,17 +422,14 @@ def _pad_nhwc(x: np.ndarray, padding: int) -> np.ndarray:
     return np.pad(x.transpose(0, 2, 3, 1), ((0, 0), (p, p), (p, p), (0, 0)))
 
 
-def _patches(xh: np.ndarray, k: int) -> np.ndarray:
-    """im2col of padded channel-last `xh`: one row per output position,
-    columns ordered (K, K, C).
+def _windows(xh: np.ndarray, k: int) -> np.ndarray:
+    """Every KxK window of padded channel-last `xh`, as a (B, OH, OW, K, K, C)
+    view; reshaped to (B*OH*OW, K*K*C) it is the im2col patch matrix.
 
     With C innermost the window copy moves contiguous runs of C values;
     (C, K, K) columns taken from NCHW move one value at a time.
     """
-    win = sliding_window_view(xh, (k, k), axis=(1, 2))
-    # win: (B, OH, OW, C, K, K)
-    b, oh, ow, c = win.shape[:4]
-    return win.transpose(0, 1, 2, 4, 5, 3).reshape(b * oh * ow, k * k * c)
+    return sliding_window_view(xh, (k, k), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
 
 
 def _correlate_nhwc(xh: np.ndarray, w: np.ndarray,
@@ -451,24 +458,24 @@ def _correlate_nhwc(xh: np.ndarray, w: np.ndarray,
     o, c, k = w.shape[:3]
     bsz, hp, wp = xh.shape[:3]
     oh, ow = hp - k + 1, wp - k + 1
-    out = np.zeros((bsz, oh, ow, o))
+    # The gather GEMM writes every output element; the tap sums add onto 0.
+    out = (np.empty if c <= o else np.zeros)((bsz, oh, ow, o))
     if c <= o:
         wm = w.transpose(0, 2, 3, 1).reshape(o, -1).T
+        win = _windows(xh, k) if patches is None else patches.reshape(bsz, oh, ow, -1)
         sample_bytes = oh * ow * k * k * c * out.itemsize
     else:
         wm = w.transpose(1, 2, 3, 0).reshape(c, -1)
         sample_bytes = hp * wp * k * k * o * out.itemsize
     step = max(1, SLICE_BYTES // sample_bytes)
     for lo in range(0, bsz, step):
-        xs, ys = xh[lo:lo + step], out[lo:lo + step]
+        ys = out[lo:lo + step]
         if c <= o:
             # A slice's patches die with the call, so the next slice reuses
-            # their block.
-            rows = slice(lo * oh * ow, (lo + step) * oh * ow)
-            np.matmul(_patches(xs, k) if patches is None else patches[rows], wm,
-                      out=ys.reshape(-1, o))
+            # their block; prebuilt patches are sliced without a copy.
+            np.matmul(win[lo:lo + step].reshape(-1, k * k * c), wm, out=ys.reshape(-1, o))
         else:
-            taps = (xs.reshape(-1, c) @ wm).reshape(xs.shape[0], hp, wp, k, k, o)
+            taps = (xh[lo:lo + step].reshape(-1, c) @ wm).reshape(ys.shape[0], hp, wp, k, k, o)
             for u in range(k):
                 for v in range(k):
                     ys += taps[:, u:u + oh, v:v + ow, u, v]
@@ -482,14 +489,16 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
     Runs as one channel-last GEMM (see `_correlate_nhwc`): the gather form
     when C <= O, the tap-sum form when C > O.  The decoder's transposed
     convs and the dx of every channel-widening conv narrow the channels,
-    which is where the tap-sum form pays.
+    which is where the tap-sum form pays.  x may lie in either layout; the
+    result is the (B, O, OH, OW) view of the channel-last GEMM output,
+    not an NCHW copy (module docstring, Layout).
     """
     if x.shape[1] != w.shape[1] or w.shape[2] != w.shape[3]:
         raise ShapeError(f"conv2d input {x.shape} does not match square kernel {w.shape}")
     out = _correlate_nhwc(_pad_nhwc(x, padding), w)
     if b is not None:
         out += b
-    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+    return out.transpose(0, 3, 1, 2)
 
 
 def _tconv_as_conv(w: np.ndarray) -> np.ndarray:
@@ -507,7 +516,8 @@ def _conv2d_grads(x: np.ndarray, g: np.ndarray, k: int, padding: int,
     `w`: a conv's, or with `transposed` those of the transposed conv this
     conv stands for, which already are its dx conv's.  Without `w` (a
     first layer needs no input gradient) dx is None.  db sums g over batch
-    and space.
+    and space, in NCHW order: g is channel-last in memory, numpy sums in
+    memory order, and summed as it lies db moved by up to 5e-12.
 
     dw correlates x with g, so either can be the im2col'd side; the one
     with fewer channels is, chosen once here for dw and dx together:
@@ -519,18 +529,21 @@ def _conv2d_grads(x: np.ndarray, g: np.ndarray, k: int, padding: int,
       one patch matrix; for cifar_cnn's 32 -> 3 decoder stage at B=32 it
       is 20 MB where x's was 210 MB.
 
-    dw is done before dx's kernel is built: a block allocated ahead of
-    the patch matrix raised kws_wd's peak RSS by about 13 MB.
+    Where the large blocks fall in the heap sets kws_wd's peak RSS.  dw is
+    done before dx's kernel is built: a block allocated ahead of the patch
+    matrix raised it by about 13 MB.  db's NCHW copy of g is made and freed
+    before the patch matrix: made after dw, it raised it by 14 to 20 MB.
     """
     o, c = g.shape[1], x.shape[1]
-    db = g.sum(axis=(0, 2, 3))
+    db = np.ascontiguousarray(g).sum(axis=(0, 2, 3))
     if c <= o:
-        # One expression, so the channel-last copy of g is freed before dx.
-        dw = g.transpose(0, 2, 3, 1).reshape(-1, o).T @ _patches(_pad_nhwc(x, padding), k)
+        # One expression, so the patch matrix is freed before dx.
+        dw = g.transpose(0, 2, 3, 1).reshape(-1, o).T @ _windows(
+            _pad_nhwc(x, padding), k).reshape(-1, k * k * c)
         dw = np.ascontiguousarray(dw.reshape(o, k, k, c).transpose(0, 3, 1, 2))
     else:
         gh = _pad_nhwc(g, k - 1 - padding)
-        gp = _patches(gh, k)
+        gp = _windows(gh, k).reshape(-1, k * k * o)
         dw = (gp.T @ x.transpose(0, 2, 3, 1).reshape(-1, c)).reshape(k, k, o, c)
         dw = np.ascontiguousarray(dw[::-1, ::-1].transpose(2, 3, 0, 1))
     if w is None:
@@ -538,7 +551,7 @@ def _conv2d_grads(x: np.ndarray, g: np.ndarray, k: int, padding: int,
     wt = w if transposed else _tconv_as_conv(w)
     if c <= o:
         return dw, db, conv2d_forward(g, wt, None, padding=k - 1 - padding)
-    return dw, db, np.ascontiguousarray(_correlate_nhwc(gh, wt, gp).transpose(0, 3, 1, 2))
+    return dw, db, _correlate_nhwc(gh, wt, gp).transpose(0, 3, 1, 2)
 
 
 def _tconv_grads(x: np.ndarray, g: np.ndarray, k: int, padding: int,
@@ -594,8 +607,8 @@ def maxpool2x2_forward(x: np.ndarray):
     corners = _corners(x)
     pooled = np.maximum(np.maximum(corners[0], corners[1]),
                         np.maximum(corners[2], corners[3]))
-    missed = np.ones(pooled.shape, dtype=bool)
-    switches = np.zeros(pooled.shape, dtype=np.int8)
+    missed = np.ones_like(pooled, dtype=bool)
+    switches = np.zeros_like(pooled, dtype=np.int8)
     for corner in corners[:3]:
         missed &= corner != pooled
         switches += missed
@@ -613,7 +626,7 @@ def unpool2x2_forward(x: np.ndarray, switches: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"unpool2x2 input {x.shape} must match switches {switches.shape}")
     b, c, h, w = x.shape
-    out = np.zeros((b, c, 2 * h, 2 * w), dtype=x.dtype)
+    out = np.zeros((b, 2 * h, 2 * w, c), dtype=x.dtype).transpose(0, 3, 1, 2)
     for s, corner in enumerate(_corners(out)):
         np.copyto(corner, x, where=switches == s)
     return out

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedmatch import federation, nn, seeding
+from fedmatch import federation, nn
 from fedmatch.cli import main
 from fedmatch.config import ConfigError, from_dict
 from fedmatch.data import Dataset, write_features
@@ -429,6 +429,17 @@ class TestRounds:
             with pytest.raises(ConfigError,
                                match=r"validation_size.*n_clients.*train size 80\)"):
                 setup_experiment(cfg)
+
+    def test_kws_data_of_the_wrong_shape_names_data_dir_and_task(self, tmp_path):
+        rng = np.random.default_rng(0)
+        y = np.arange(24) % 4
+        for split in ("train", "test"):
+            write_features(tmp_path / f"kws_{split}.fedf", Dataset(rng.random((24, 1, 16, 16)), y))
+        cfg = make_cfg({"task": "kws", "data_dir": str(tmp_path), "n_clients": 2,
+                        "validation_size": 4})
+        with pytest.raises(ConfigError, match=r"^data_dir .*: kws samples of shape "
+                                              r"\(1, 16, 16\) do not fit kws_cnn"):
+            setup_experiment(cfg)
 
     @pytest.mark.parametrize("window", [0, 2])
     def test_tuner_window_holds_z_plus_one_rounds(self, window):

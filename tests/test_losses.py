@@ -16,7 +16,7 @@ from fedmatch.losses import (
     wd_loss,
 )
 from fedmatch.models import build_arch, build_matching_decoder
-from fedmatch.nn import ModelGraph, ParamSet, dense, relu
+from fedmatch.nn import ModelGraph, ParamSet, dense
 
 import oracles
 

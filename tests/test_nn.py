@@ -49,10 +49,10 @@ def _maxpool_by_argmax(x):
 def _dw_by_x_patches(x, g, k, padding):
     """Conv weight gradient as one GEMM, g^T @ the im2col of x: the form
     the kernels use when C <= O, kept as the reference for O < C."""
-    o = g.shape[1]
+    o, c = g.shape[1], x.shape[1]
     gm = g.transpose(0, 2, 3, 1).reshape(-1, o)
-    dw = gm.T @ nn._patches(nn._pad_nhwc(x, padding), k)
-    return dw.reshape(o, k, k, x.shape[1]).transpose(0, 3, 1, 2)
+    dw = gm.T @ nn._windows(nn._pad_nhwc(x, padding), k).reshape(-1, k * k * c)
+    return dw.reshape(o, k, k, c).transpose(0, 3, 1, 2)
 
 
 class TestForwardAgainstReferences:
@@ -261,6 +261,67 @@ class TestSharedPatches:
             assert np.abs(dw - want_dw).max() <= 1e-13 * np.abs(want_dw).max()
         else:
             assert dw.tobytes() == want_dw.tobytes()
+
+
+def _channel_last(a):
+    """`a` with its NCHW shape kept and its channels innermost in memory."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def _is_channel_last(a):
+    return a.transpose(0, 2, 3, 1).flags.c_contiguous
+
+
+class TestChannelLastLayout:
+    """Conv, relu and pool activations are channel-last in memory with NCHW
+    shapes.  The layout of a kernel's inputs must not change a byte of its
+    results: reductions and the matching residual run in C order."""
+
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("c,o", [(2, 4), (5, 2)], ids=["c2o4", "c5o2"])
+    @pytest.mark.parametrize("kind", ["conv", "tconv"])
+    def test_conv_bytes_do_not_depend_on_the_layout(self, kind, c, o, padding):
+        rng = np.random.default_rng(padding)
+        x, b = rng.normal(size=(3, c, 7, 6)), rng.normal(size=o)
+        if kind == "conv":
+            w = rng.normal(size=(o, c, 3, 3))
+            fwd, bwd = nn.conv2d_forward, nn.conv2d_backward
+        else:
+            w = rng.normal(size=(c, o, 3, 3))
+            fwd, bwd = nn.transposed_conv2d_forward, nn.transposed_conv2d_backward
+        g = rng.normal(size=fwd(x, w, b, padding=padding).shape)
+        # y, dw, db, dx from C-order inputs, then from channel-last ones.
+        c_order, last = [(fwd(xl, w, b, padding=padding), *bwd(xl, w, gl, padding=padding))
+                         for xl, gl in ((x, g), (_channel_last(x), _channel_last(g)))]
+        for want, got in zip(c_order, last):
+            assert got.tobytes() == want.tobytes()
+
+    def test_pool_bytes_do_not_depend_on_the_layout(self):
+        rng = np.random.default_rng(1)
+        # Rounded values, so windows hold ties.
+        x = np.round(rng.normal(size=(3, 4, 6, 8)))
+        g_pool, g_unpool = rng.normal(size=(3, 4, 3, 4)), rng.normal(size=(3, 4, 6, 8))
+        results = []
+        for lay in (np.asarray, _channel_last):
+            pooled, sw = nn.maxpool2x2_forward(lay(x))
+            results.append((pooled, sw, nn.maxpool2x2_backward(lay(g_pool), sw),
+                            nn.unpool2x2_forward(lay(g_pool), sw),
+                            nn.unpool2x2_backward(lay(g_unpool), sw)))
+        for want, got in zip(*results):
+            assert got.tobytes() == want.tobytes()
+
+    def test_kws_forward_keeps_spatial_activations_channel_last(self):
+        arch = build_arch("kws_cnn")
+        rng = np.random.default_rng(0)
+        params = nn.init_params(arch.graph, rng)
+        trace = nn.forward(arch.graph, params, rng.uniform(size=(2, 1, 32, 32)))
+        spatial = {i: spec.kind for i, spec in enumerate(arch.graph.layers)
+                   if trace.outputs[i].ndim == 4}
+        assert set(spatial.values()) == {"conv2d", "relu", "maxpool2x2"}
+        for i, kind in spatial.items():
+            assert _is_channel_last(trace.outputs[i]), f"layer {i} ({kind})"
+        for i, sw in trace.switches.items():
+            assert _is_channel_last(sw), f"layer {i} switches"
 
 
 def test_cifar_decoder_stage1_backward_memory_is_bounded():
