@@ -211,16 +211,13 @@ def aggregate(w_round: ParamSet, results: list[ClientResult],
     tensor names or shapes differ from `w_round` raises ShapeError.
     """
     ordered = sorted(results, key=lambda r: r.client_id)
-    if mode == "literal":
-        denom = float(total_datapoints)
-    else:
-        denom = float(sum(r.n_samples for r in ordered))
+    denom = float(total_datapoints if mode == "literal" else sum(r.n_samples for r in ordered))
     new = {k: w_round[k].copy() for k in w_round}
     for r in ordered:
         w_round.check_structure(r.params)
         coef = r.n_samples / denom
         for k in new:
-            new[k] += coef * (r.params[k] - w_round[k])
+            new[k] += np.multiply(coef, d := r.params[k] - w_round[k], out=d)
     return ParamSet(new)
 
 
@@ -464,7 +461,6 @@ def setup_experiment(cfg: ExperimentConfig):
         val_x=val.samples,
         val_y=val.labels,
         total_datapoints=train.n,
-        round=0,
     )
     if cfg.use_tuner:
         server.grid = cfg.hyper_grid()

@@ -70,15 +70,14 @@ def er_loss(logits: np.ndarray, min_entropy: float):
 
 
 def wd_loss(w_round: ParamSet, w_local: ParamSet):
-    """Squared L2 divergence between parameter sets, with grad w.r.t. w_local."""
-    w_round.check_structure(w_local)
-    loss = 0.0
-    grads: dict[str, np.ndarray] = {}
-    for k in w_round:
-        d = w_local[k] - w_round[k]
-        loss += float((d * d).sum())
-        grads[k] = 2.0 * d
-    return loss, ParamSet(grads)
+    """Squared L2 divergence between parameter sets, with grad w.r.t. w_local.
+
+    Each tensor's difference d is the one new array: it is scaled in place
+    into the gradient 2d once its square has been summed.
+    """
+    d = w_local.zip_with(w_round, np.subtract)
+    loss = sum((float((a * a).sum()) for a in d.values()), 0.0)
+    return loss, d.map(lambda a: np.multiply(2.0, a, out=a))
 
 
 # ---------------------------------------------------------------------------
@@ -226,16 +225,24 @@ def total_loss_and_grads(graph: ModelGraph, x: np.ndarray, y: np.ndarray,
         theta_grads, site_grads = matching_backward(theta, stage_data)
         if loss.matching_coeff != 1.0:
             c = loss.matching_coeff
-            theta_grads = theta_grads.map(lambda a: c * a)
+            theta_grads = theta_grads.map(lambda a: np.multiply(c, a, out=a))
             site_grads = {k: c * v for k, v in site_grads.items()}
 
     w_grads = nn.backward(graph, w_local, local_trace, logits_grad,
                           site_grads=site_grads)
 
     wd = 0.0
-    if use_wd:
+    # On a client's first step w_local is w_round: then d = p - p is +0.0
+    # everywhere, the term is 0, and adding its gradient could change only
+    # a -0.0 gradient entry, into +0.0.  No parameter is ever -0.0 (init
+    # gives none, and p - t gives -0.0 only from p = -0.0), so p - lr * g
+    # is the same for g = +-0.0, and skipping the term changes no byte.
+    if use_wd and w_local is not w_round:
         wd, wd_grads = wd_loss(w_round, w_local)
-        w_grads = w_grads.zip_with(wd_grads, lambda g, d: g + loss.wd_coeff * d)
+        # Both gradient sets are this call's own arrays: c * 2d is formed
+        # in wd's and added into the model's in place.
+        w_grads = w_grads.zip_with(wd_grads, lambda g, d: np.add(
+            g, np.multiply(loss.wd_coeff, d, out=d), out=g))
 
     total = ce + loss.matching_coeff * match_val + er + loss.wd_coeff * wd
     breakdown = LossBreakdown(cross_entropy=ce, matching=match_val, er=er,

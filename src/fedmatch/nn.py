@@ -25,18 +25,27 @@ Memory: every conv forward, transposed-conv forward and conv or
 transposed-conv input gradient is one `_correlate_nhwc` GEMM, run over
 batch slices whose im2col (or tap-sum) intermediate stays within
 `SLICE_BYTES` (8 MiB).  Unsliced, the patch matrix of a kws_cnn validation
-batch (128 samples, 64 -> 64 channels at 32x32) is ~600 MB.  The slices
-are a fixed function of the shapes, so runs stay deterministic, and at
-the models' conv shapes OpenBLAS gives each output row the same bytes
-whatever the row count, so slicing changes no byte there.  Two products
-are not sliced: a conv's weight gradient sums over the batch, so slicing
-would reorder that sum, and a dense layer's GEMM (e.g. 1024 -> 10)
-rounds differently at every slice size.  A conv backward builds one
-patch matrix, of the input or of the output gradient, whichever has
-fewer channels (`_conv2d_grads`): the decoder stages that narrow the
-channels take the gradient's, 20 MB instead of 210 MB for cifar_cnn's
-32 -> 3 stage at B=32, and their input gradient runs over it in the same
-slices.
+batch (128 samples, 64 -> 64 channels at 32x32) is ~600 MB.  Each slice
+is padded into one reused zero-bordered buffer, so no padded copy of the
+whole batch is made (75 MB per conv of that batch).  The buffer is no
+larger than a slice's patches; it can outgrow a slice's taps, at most as
+large as the whole-batch copy was (19 MB for the kws_cnn decoder's
+64 -> 1 stage at B=32, 7x its taps).  The slices are a fixed function of
+the shapes, so runs stay deterministic, and at the models' conv shapes
+OpenBLAS gives each output row the same bytes whatever the row count, so
+slicing changes no byte there.  A conv's weight gradient sums over the
+batch, so slicing the batch would reorder that sum; built from the
+input's patches, it runs instead as one GEMM per block of kernel rows,
+each block as many rows as fit `SLICE_BYTES` and at least one.
+Splitting a GEMM's output columns reorders no sum, and at the models'
+shapes the blocks keep the bytes of the one GEMM: a kws_cnn 64 -> 64 dw
+at B=32 builds three 50 MB blocks, not one 151 MB matrix.  A dense
+layer's GEMM (e.g. 1024 -> 10) is not sliced: it rounds
+differently at every slice size.  A conv backward builds the patches of
+the input or of the output gradient, whichever has fewer channels
+(`_conv2d_grads`): the decoder stages that narrow the channels take the
+gradient's, 20 MB instead of 210 MB for cifar_cnn's 32 -> 3 stage at
+B=32, and their input gradient runs over it in the same slices.
 
 Layout: conv, transposed-conv, relu and pool activations keep NCHW shapes
 but are channel-last in memory, as PyTorch's `channels_last` format is.
@@ -47,12 +56,16 @@ order, so three places keep C order to keep every byte: a conv's bias
 gradient sums an NCHW copy of its output gradient (`_conv2d_grads`), the
 matching residual is built in C order (`losses.matching_loss`), and
 `flatten` copies into NCHW order, the order of the dense weights' rows.
+A relu that follows a conv or dense layer runs in place on that layer's
+fresh output (`_layer_outputs`), as in-place activation does (Rota Bulo
+et al., arXiv:1712.02616): its backward mask x > 0 is the same on
+max(x, 0), so the pre-activation need not be kept.
 
 Freed blocks stay in the malloc heap (`_keep_freed_blocks`, on import).
 glibc otherwise maps every block of 32 MiB or more straight from the
 kernel and unmaps it on free, and trims the heap top, so each training
 step re-faulted and the kernel re-zeroed its large blocks: the conv
-weight-gradient patch matrices (151 MB for kws_cnn's 64 -> 64 convs at
+weight-gradient patch blocks (50 MB for kws_cnn's 64 -> 64 convs at
 B=32), the 33.5 MB 4096x1024 dense weights and the channel-last conv
 outputs.  That was a median 4.6k (kws_cnn) and 9.5k (cifar_cnn) minor
 page faults per B=32 step; with both thresholds raised to 1 GiB the
@@ -242,7 +255,9 @@ class ParamSet(Mapping):
     """Immutable-ish ordered mapping of tensor name -> float64 ndarray.
 
     Functional style: operations return new ParamSets and never mutate the
-    arrays in place (client updates must not alias server state).
+    arrays in place (client updates must not alias server state).  A
+    caller may map a function that writes into arrays it owns, such as
+    fresh gradients (`losses.total_loss_and_grads`).
     """
 
     __slots__ = ("_tensors",)
@@ -281,8 +296,11 @@ class ParamSet(Mapping):
 
 
 def sgd_step(params: ParamSet, grads: ParamSet, lr: float) -> ParamSet:
-    """One vanilla SGD step: params - lr * grads, as a new ParamSet."""
-    return params.zip_with(grads, lambda p, g: p - lr * g)
+    """One vanilla SGD step: params - lr * grads, as a new ParamSet.
+
+    lr * g is the one new array per tensor; the difference overwrites it.
+    """
+    return params.zip_with(grads, lambda p, g: np.subtract(p, t := lr * g, out=t))
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +394,8 @@ def dense_backward(x: np.ndarray, w: np.ndarray, g: np.ndarray):
     return dw, db, dx
 
 
-def relu_forward(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+def relu_forward(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(x, 0.0, out=out)
 
 
 def relu_backward(x: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -432,17 +450,19 @@ def _windows(xh: np.ndarray, k: int) -> np.ndarray:
     return sliding_window_view(xh, (k, k), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
 
 
-def _correlate_nhwc(xh: np.ndarray, w: np.ndarray,
+def _correlate_nhwc(x: np.ndarray, w: np.ndarray, padding: int,
                     patches: np.ndarray | None = None) -> np.ndarray:
-    """Unpadded cross-correlation of channel-last `xh` (B, HP, WP, C) with
-    (O, C, K, K) kernels; returns channel-last (B, OH, OW, O).
+    """Cross-correlation of (B, C, H, W) `x`, zero-padded by `padding`, with
+    (O, C, K, K) kernels; returns channel-last (B, OH, OW, O).  x may lie
+    in either layout.
 
     In whichever of two GEMM forms has the narrower intermediate:
 
     * C <= O, gather: patches (B*OH*OW, K*K*C) @ kernel^T.  `patches`, if
       given, is that whole matrix, already built by the caller
-      (`_conv2d_grads`, which also needs it for the weight gradient).
-    * C > O, tap-sum: apply the kernel first, xh (B*HP*WP, C) @
+      (`_conv2d_grads`, which also needs it for the weight gradient); x
+      then gives only the shapes.
+    * C > O, tap-sum: apply the kernel first, padded x (B*HP*WP, C) @
       (C, K*K*O), then add the K*K shifted taps onto the output grid.
 
     The patch matrix is K*K*C wide and the tap-sum intermediate K*K*O,
@@ -451,31 +471,40 @@ def _correlate_nhwc(xh: np.ndarray, w: np.ndarray,
     The GEMM runs over batch slices whose intermediate stays within
     `SLICE_BYTES` (at least one sample each); every slice writes its rows
     of the one output array, and a batch that fits is a single slice.
-    Prebuilt patches are used in the same slices, so the output has the
-    same bytes either way.  The weight gradient (`_conv2d_grads`) stays one
-    GEMM: it sums over the batch, and slicing would reorder that sum.
+    x is padded one slice at a time: one zeroed (step, HP, WP, C) buffer
+    and its window view are made once per call, each slice copies its
+    samples into the buffer's interior, and the border stays 0.  Prebuilt
+    patches are used in the same slices, so the output has the same bytes
+    either way.  The weight gradient (`_conv2d_grads`) is blocked by
+    kernel rows instead: it sums over the batch, and slicing the batch
+    would reorder that sum.
     """
     o, c, k = w.shape[:3]
-    bsz, hp, wp = xh.shape[:3]
+    (bsz, _, h, wd), p = x.shape, padding
+    hp, wp = h + 2 * p, wd + 2 * p
     oh, ow = hp - k + 1, wp - k + 1
     # The gather GEMM writes every output element; the tap sums add onto 0.
     out = (np.empty if c <= o else np.zeros)((bsz, oh, ow, o))
+    # The GEMM's right operand, and the size of one sample's intermediate.
     if c <= o:
-        wm = w.transpose(0, 2, 3, 1).reshape(o, -1).T
-        win = _windows(xh, k) if patches is None else patches.reshape(bsz, oh, ow, -1)
-        sample_bytes = oh * ow * k * k * c * out.itemsize
+        wm, sample_size = w.transpose(0, 2, 3, 1).reshape(o, -1).T, oh * ow * k * k * c
     else:
-        wm = w.transpose(1, 2, 3, 0).reshape(c, -1)
-        sample_bytes = hp * wp * k * k * o * out.itemsize
-    step = max(1, SLICE_BYTES // sample_bytes)
+        wm, sample_size = w.transpose(1, 2, 3, 0).reshape(c, -1), hp * wp * k * k * o
+    step = max(1, SLICE_BYTES // (sample_size * out.itemsize))
+    xh = np.zeros((min(step, bsz), hp, wp, c)) if patches is None else None
+    win = _windows(xh, k) if patches is None else patches.reshape(bsz, oh, ow, -1)
     for lo in range(0, bsz, step):
         ys = out[lo:lo + step]
+        n = ys.shape[0]
+        if patches is None:
+            xh[:n, p:p + h, p:p + wd] = x[lo:lo + n].transpose(0, 2, 3, 1)
         if c <= o:
             # A slice's patches die with the call, so the next slice reuses
             # their block; prebuilt patches are sliced without a copy.
-            np.matmul(win[lo:lo + step].reshape(-1, k * k * c), wm, out=ys.reshape(-1, o))
+            wins = win[:n] if patches is None else win[lo:lo + n]
+            np.matmul(wins.reshape(-1, k * k * c), wm, out=ys.reshape(-1, o))
         else:
-            taps = (xh[lo:lo + step].reshape(-1, c) @ wm).reshape(ys.shape[0], hp, wp, k, k, o)
+            taps = (xh[:n].reshape(-1, c) @ wm).reshape(n, hp, wp, k, k, o)
             for u in range(k):
                 for v in range(k):
                     ys += taps[:, u:u + oh, v:v + ow, u, v]
@@ -495,7 +524,7 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
     """
     if x.shape[1] != w.shape[1] or w.shape[2] != w.shape[3]:
         raise ShapeError(f"conv2d input {x.shape} does not match square kernel {w.shape}")
-    out = _correlate_nhwc(_pad_nhwc(x, padding), w)
+    out = _correlate_nhwc(x, w, padding)
     if b is not None:
         out += b
     return out.transpose(0, 3, 1, 2)
@@ -522,7 +551,10 @@ def _conv2d_grads(x: np.ndarray, g: np.ndarray, k: int, padding: int,
     dw correlates x with g, so either can be the im2col'd side; the one
     with fewer channels is, chosen once here for dw and dx together:
 
-    * C <= O: g^T @ the patches of x padded by p (B*OH*OW, K*K*C).
+    * C <= O: g^T @ the patches of x padded by p (B*OH*OW, K*K*C), one
+      GEMM per block of kernel rows u that fits `SLICE_BYTES` (at least
+      one row): dw[:, u-block] = g^T @ patches[:, u-block].  Only the
+      output columns are split, so no sum is reordered.
     * O < C: the patches of g padded by K-1-p, on x's grid (B*H*W,
       K*K*O), transposed, @ channel-last x, with the taps flipped back.
       dx's gather GEMM runs over the same patches, so the backward builds
@@ -530,16 +562,20 @@ def _conv2d_grads(x: np.ndarray, g: np.ndarray, k: int, padding: int,
       is 20 MB where x's was 210 MB.
 
     Where the large blocks fall in the heap sets kws_wd's peak RSS.  dw is
-    done before dx's kernel is built: a block allocated ahead of the patch
-    matrix raised it by about 13 MB.  db's NCHW copy of g is made and freed
-    before the patch matrix: made after dw, it raised it by 14 to 20 MB.
+    done, and the padded x freed, before dx's kernel is built: a block
+    allocated ahead of the patch matrix raised it by about 13 MB.  db's
+    NCHW copy of g is made and freed before the patch matrix: made after
+    dw, it raised it by 14 to 20 MB.
     """
     o, c = g.shape[1], x.shape[1]
     db = np.ascontiguousarray(g).sum(axis=(0, 2, 3))
     if c <= o:
-        # One expression, so the patch matrix is freed before dx.
-        dw = g.transpose(0, 2, 3, 1).reshape(-1, o).T @ _windows(
-            _pad_nhwc(x, padding), k).reshape(-1, k * k * c)
+        win = _windows(_pad_nhwc(x, padding), k)
+        gm = g.transpose(0, 2, 3, 1).reshape(-1, o).T
+        rows = max(1, SLICE_BYTES // win[:, :, :, 0].nbytes)
+        dw = np.concatenate([gm @ win[:, :, :, u:u + rows].reshape(gm.shape[1], -1)
+                             for u in range(0, k, rows)], axis=1)
+        del win  # the padded x, freed before dx
         dw = np.ascontiguousarray(dw.reshape(o, k, k, c).transpose(0, 3, 1, 2))
     else:
         gh = _pad_nhwc(g, k - 1 - padding)
@@ -551,7 +587,7 @@ def _conv2d_grads(x: np.ndarray, g: np.ndarray, k: int, padding: int,
     wt = w if transposed else _tconv_as_conv(w)
     if c <= o:
         return dw, db, conv2d_forward(g, wt, None, padding=k - 1 - padding)
-    return dw, db, _correlate_nhwc(gh, wt, gp).transpose(0, 3, 1, 2)
+    return dw, db, _correlate_nhwc(g, wt, k - 1 - padding, gp).transpose(0, 3, 1, 2)
 
 
 def _tconv_grads(x: np.ndarray, g: np.ndarray, k: int, padding: int,
@@ -565,8 +601,9 @@ def _tconv_grads(x: np.ndarray, g: np.ndarray, k: int, padding: int,
 def conv2d_backward(x: np.ndarray, w: np.ndarray, g: np.ndarray, padding: int = 0):
     """Returns (dw, db, dx) for the conv2d above. g is (B, O, H', W').
 
-    dw is one GEMM over the patches of x or of g (`_conv2d_grads`); dx is
-    the transposed conv of g with the same kernel and padding.
+    dw is a GEMM over the patches of x, blocked by kernel rows, or over
+    those of g (`_conv2d_grads`); dx is the transposed conv of g with the
+    same kernel and padding.
     """
     return _conv2d_grads(x, g, w.shape[2], padding, w)
 
@@ -648,7 +685,11 @@ class ForwardTrace:
     """Everything the backward pass (and the matching loss) needs.
 
     `outputs[i]` is layer i's batched output; `switches` maps maxpool layer
-    index -> int8 switch tensor.
+    index -> int8 switch tensor.  A relu that follows a layer with
+    parameters runs in place on that layer's output, so then `outputs[i]`
+    is `outputs[i + 1]`, the relu's output.  Nothing reads the
+    pre-activation: the relu's backward mask x > 0 is the same on
+    max(x, 0), and the matching sites are relu outputs and logits.
     """
 
     x: np.ndarray
@@ -739,7 +780,11 @@ def _layer_outputs(graph: ModelGraph, params: ParamSet, x: np.ndarray,
     current one; maxpools record their switches in `switches`."""
     cur = x
     for i, spec in enumerate(graph.layers):
-        cur = layer_forward(spec, i, cur, params, switches)
+        # A relu after a layer with parameters overwrites that layer's fresh,
+        # already checked output (ForwardTrace).
+        in_place = spec.kind == "relu" and i > 0 and graph.layers[i - 1].has_params
+        cur = (relu_forward(cur, out=cur) if in_place
+               else layer_forward(spec, i, cur, params, switches))
         _check_finite(f"layer {i} ({spec.kind}) output", cur)
         yield cur
 

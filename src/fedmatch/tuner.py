@@ -47,6 +47,15 @@ import numpy as np
 
 COORD_SPAN = (-0.5, 0.5)
 
+# reinforce_update keeps log_precision in this range.  Up to 700 the
+# precision is at most 1.02e304, so with |h - mu| <= 1 on the two axes the
+# (h - mu)**2 * A sums and the score stay finite; a large `tuner.hyper_lr`
+# used to drive the precision to inf and the grid probabilities to NaN.
+# `tuner.init_std` >= 1e-150 starts log_precision at 691 at most.  Below
+# -745.14 exp(log_precision) is exactly 0, so the floor at -750 changes no
+# probability or score; it only keeps log_precision finite.
+LOG_PRECISION_SPAN = (-750.0, 700.0)
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
@@ -237,10 +246,8 @@ def reinforce_update(dist: HyperDist, window: Sequence[tuple[float, np.ndarray]]
         delta += (r_tau - rbar) * s_tau
     mu = dist.mu + sign * eta * delta[0]
     mu = np.clip(mu, COORD_SPAN[0], COORD_SPAN[1])
-    if freeze_precision:
-        lp = dist.log_precision
-    else:
-        lp = dist.log_precision + sign * eta * delta[1]
+    lp = dist.log_precision if freeze_precision else np.clip(
+        dist.log_precision + sign * eta * delta[1], *LOG_PRECISION_SPAN)
     return HyperDist(mu=mu, log_precision=lp)
 
 

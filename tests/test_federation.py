@@ -455,6 +455,20 @@ class TestRounds:
             assert all(rec.mu_norm == mu0 for rec in records)
             assert tuple(float(v) for v in server.dist.mu) == mu0
 
+    @pytest.mark.parametrize("hyper_lr", [1e6, 1e12, 1e100, 1e300])
+    def test_huge_hyper_lr_keeps_the_tuner_finite(self, hyper_lr):
+        # Unclamped, log_precision overflowed exp by round 4 at 1e12 and
+        # above, and sampling failed on NaN probabilities.
+        cfg = make_cfg({"use_tuner": True, "tuner": {"hyper_lr": hyper_lr, "axes": [
+            {"name": "learning_rate", "values": [0.01, 0.05], "integer": False},
+            {"name": "sgd_iterations", "values": [1, 2]},
+        ]}})
+        server, clients, arch, decoder, _ = setup_experiment(cfg)
+        with np.errstate(over="ignore"):
+            records = [run_round(server, clients, arch, decoder, cfg) for _ in range(6)]
+        assert [rec.round for rec in records] == list(range(1, 7))
+        assert np.all(np.isfinite(server.dist.precision))
+
     def test_huge_tuner_window_runs_like_one_wider_than_the_run(self, tmp_path):
         def rounds_bytes(window):
             cfg = make_cfg({"rounds": 2, "use_tuner": True,

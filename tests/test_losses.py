@@ -1,6 +1,8 @@
 """Loss terms: frozen reference values, analytic gradients vs finite
 differences, and how the combined objective composes its terms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -271,9 +273,71 @@ class TestCombinedObjective:
             numeric = oracles.fd_gradient_at(value, w_local[key], idx)
             assert oracles.grad_close(w_grads[key].reshape(-1)[idx], numeric), key
 
+    @pytest.mark.parametrize("name,shape", [("mnist_mlp", (784,)),
+                                            ("cifar_cnn", (3, 32, 32))])
+    def test_wd_on_the_broadcast_params_is_skipped_without_a_byte_changed(
+            self, name, shape):
+        # When w_local is w_round (a client's first step) the WD term is
+        # not computed; it is 0 and its gradient adds nothing.
+        arch = build_arch(name)
+        rng = np.random.default_rng(5)
+        w_round = nn.init_params(arch.graph, rng)
+        x, y = rng.normal(size=(3, *shape)), rng.integers(0, 10, size=3)
+        loss = LossConfig(wd_coeff=0.1)
+        (br, grads, _), (want_br, want_grads, _) = [
+            total_loss_and_grads(arch.graph, x, y, w_local, w_round, None, None, loss,
+                                 use_wd=True)
+            for w_local in (w_round, w_round.map(np.copy))]
+        assert br == want_br and br.wd == 0.0
+        assert list(grads) == list(want_grads)
+        for k in grads:
+            assert grads[k].tobytes() == want_grads[k].tobytes(), k
+        # Away from the broadcast the term runs: 0.01 on each parameter.
+        moved = w_round.map(lambda a: a + 0.01)
+        br, _, _ = total_loss_and_grads(arch.graph, x, y, moved, w_round, None, None,
+                                        loss, use_wd=True)
+        n = sum(a.size for a in w_round.values())
+        assert br.wd == pytest.approx(n * 1e-4, rel=1e-6)
+
     def test_er_can_be_disabled(self):
         arch, w_round, w_local, x, y = self._mlp_inputs()
         br, _, _ = total_loss_and_grads(arch.graph, x, y, w_local, w_round,
                                         None, None, LossConfig(use_er=False))
         assert br.er == 0.0
         assert np.isclose(br.total, br.cross_entropy, rtol=1e-12)
+
+
+def _step_peak(name, batch, use_wd):
+    """tracemalloc peak of one training step: the objective and its
+    gradients, then an SGD step on the model and on the decoder."""
+    arch = build_arch(name)
+    rng = np.random.default_rng(0)
+    w_round = nn.init_params(arch.graph, rng)
+    decoder, theta = (None, None) if use_wd else build_matching_decoder(arch, rng)
+    w_local = w_round.map(lambda a: a + 0.01 * rng.normal(size=a.shape))
+    x = rng.uniform(0.0, 1.0, size=(batch, *arch.graph.input_shape))
+    y = rng.integers(0, 10, size=batch)
+    tracemalloc.start()
+    try:
+        _, w_grads, theta_grads = total_loss_and_grads(
+            arch.graph, x, y, w_local, w_round, decoder, theta, LossConfig(),
+            use_wd=use_wd)
+        nn.sgd_step(w_local, w_grads, 0.01)
+        if theta_grads is not None:
+            nn.sgd_step(theta, theta_grads, 0.01)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name,use_wd,bound", [
+    # Was ~312 MB: the 151 MB patch matrix of each 64 -> 64 conv's dw,
+    # whole-batch padded conv inputs, relu pre-activations, and two
+    # parameter-sized temporaries per tensor in WD and SGD.  ~170 MB now.
+    ("kws_cnn", True, 210e6),
+    # Was ~218 MB; ~156 MB now.
+    ("cifar_cnn", False, 190e6),
+], ids=["kws-wd", "cifar-matching"])
+def test_training_step_memory_is_bounded(name, use_wd, bound):
+    peak = _step_peak(name, 32, use_wd)
+    assert peak < bound, f"peak {peak / 1e6:.0f} MB"

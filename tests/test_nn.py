@@ -205,7 +205,9 @@ def test_kws_validation_forward_memory_is_bounded():
     # The kws_cnn validation forward at B=128 peaked at ~880 MB when each
     # conv built its whole im2col matrix; batch slicing brought that to
     # ~370 MB.  Evaluation keeps only the current activation, not the
-    # whole trace, which leaves ~215 MB.
+    # whole trace, which left ~215 MB.  Padding each slice instead of the
+    # whole batch, and each relu in place on its conv's output, leave
+    # ~143 MB.
     arch = build_arch("kws_cnn")
     rng = np.random.default_rng(0)
     params = nn.init_params(arch.graph, rng)
@@ -217,7 +219,54 @@ def test_kws_validation_forward_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 260e6, f"peak {peak / 1e6:.0f} MB"
+    assert peak < 175e6, f"peak {peak / 1e6:.0f} MB"
+
+
+# Every conv of the three models, and every decoder transposed conv whose
+# equivalent conv has C <= O, as (kind, C, O, kernel, padding, H = W of the
+# input): each takes the x-patches form of dw, blocked by kernel rows.  The
+# decoder's narrowing stages (O < C) build the patches of g instead and are
+# covered by TestSharedPatches.
+X_PATCH_DW = {
+    "cifar-conv1": ("conv", 3, 32, 5, 2, 32),
+    "cifar-conv2": ("conv", 32, 64, 5, 2, 16),
+    "kws-conv1": ("conv", 1, 64, 3, 1, 32),
+    "kws-conv2": ("conv", 64, 64, 3, 1, 32),
+    "kws-conv3": ("conv", 64, 64, 3, 1, 16),
+    "kws-s2": ("tconv", 64, 64, 3, 1, 32),
+    "kws-s3": ("tconv", 64, 64, 3, 1, 16),
+}
+
+
+class TestKernelRowBlocks:
+    """The x-patches weight gradient runs as one GEMM per block of kernel
+    rows that fits nn.SLICE_BYTES.  Splitting the GEMM's columns reorders
+    no sum, so dw keeps the bytes of the single GEMM."""
+
+    @staticmethod
+    def _dw_pair(case, batch):
+        kind, c, o, k, p, hw = X_PATCH_DW[case]
+        rng = np.random.default_rng(batch)
+        x = rng.normal(size=(batch, c, hw, hw))
+        out_hw = hw + 2 * p - k + 1 if kind == "conv" else hw + k - 1 - 2 * p
+        g = _channel_last(rng.normal(size=(batch, o, out_hw, out_hw)))
+        if kind == "conv":
+            return nn._conv2d_grads(x, g, k, p)[0], _dw_by_x_patches(x, g, k, p)
+        return (nn._tconv_grads(x, g, k, p)[0],
+                nn._tconv_as_conv(_dw_by_x_patches(x, g, k, k - 1 - p)))
+
+    @pytest.mark.parametrize("batch", [1, 2, 6, 32])
+    @pytest.mark.parametrize("case", sorted(X_PATCH_DW))
+    def test_default_budget_keeps_the_bytes(self, case, batch):
+        dw, want = self._dw_pair(case, batch)
+        assert dw.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    @pytest.mark.parametrize("batch", [6, 32])
+    @pytest.mark.parametrize("case", sorted(X_PATCH_DW))
+    def test_one_kernel_row_per_block_keeps_the_bytes(self, case, batch, monkeypatch):
+        monkeypatch.setattr(nn, "SLICE_BYTES", 1)
+        dw, want = self._dw_pair(case, batch)
+        assert dw.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 # Every transposed conv of the cifar_cnn and kws_cnn decoders, as
@@ -546,6 +595,31 @@ class TestGraphForwardBackward:
         assert trace.logits.shape == (5, 4)
         assert set(trace.switches) == {2}
         assert trace.switches[2].shape == (5, 3, 4, 4)
+
+    def test_relu_after_a_layer_with_parameters_runs_in_place(self):
+        graph = self._small_cnn()
+        params = nn.init_params(graph, np.random.default_rng(0))
+        x = RNG.normal(size=(3, 2, 8, 8))
+        trace = nn.forward(graph, params, x)
+        for i in (0, 4):  # conv -> relu and dense -> relu
+            assert trace.outputs[i] is trace.outputs[i + 1]
+        pre = nn.conv2d_forward(x, params["0.w"], params["0.b"], padding=1)
+        assert (pre < 0).any()
+        assert trace.outputs[1].tobytes() == nn.relu_forward(pre).tobytes()
+
+    @pytest.mark.parametrize("layers", [
+        (relu(), flatten(), dense(18, 2)),
+        (flatten(), relu(), dense(18, 2)),
+    ], ids=["relu-first", "relu-after-flatten"])
+    def test_relu_on_the_input_leaves_it_unchanged(self, layers):
+        # A relu on the input, or on flatten's view of it, must allocate.
+        graph = ModelGraph((2, 3, 3), layers)
+        params = nn.init_params(graph, np.random.default_rng(0))
+        x = RNG.normal(size=(4, 2, 3, 3))
+        before = x.copy()
+        trace = nn.forward(graph, params, x)
+        assert x.tobytes() == before.tobytes()
+        assert trace.x is x and (trace.x < 0).any()
 
     def test_whole_graph_gradient_matches_finite_differences(self):
         graph = self._small_cnn()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fedmatch.tuner import (
+    LOG_PRECISION_SPAN,
     GridError,
     HyperAxis,
     HyperDist,
@@ -255,6 +256,27 @@ class TestWindowAndUpdate:
         new = reinforce_update(dist, w, eta=0.2, freeze_precision=True)
         assert np.array_equal(new.log_precision, dist.log_precision)
         assert not np.array_equal(new.mu, dist.mu)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_log_precision_clamps_to_its_span(self, sign):
+        # A huge step drives log_precision past either end; clamped, the
+        # probabilities and the next score stay finite.
+        g = default_grid("mnist")
+        dist = initial_dist(g)
+        # Rewarding a cell nearer the mean than the corner raises the
+        # precision on both axes; the descent sign lowers it.
+        w = [(0.0, score(g, dist, 0)), (1.0, score(g, dist, 14))]
+        with np.errstate(over="ignore"):
+            new = reinforce_update(dist, w, eta=1e300, sign=sign)
+        want = LOG_PRECISION_SPAN[1] if sign > 0 else LOG_PRECISION_SPAN[0]
+        assert np.array_equal(new.log_precision, [want, want])
+        assert np.all(np.isfinite(grid_probs(g, new)))
+        assert all(np.all(np.isfinite(score(g, new, i))) for i in range(g.size))
+
+    def test_log_precision_span_admits_every_initial_std(self):
+        # tuner.init_std >= 1e-150 starts log_precision at up to ~691.
+        lp = initial_dist(default_grid("mnist"), std=1e-150).log_precision
+        assert np.all((LOG_PRECISION_SPAN[0] < lp) & (lp < LOG_PRECISION_SPAN[1]))
 
     def test_descent_sign_flips_the_step(self):
         g = three_point_grid()
