@@ -207,18 +207,16 @@ def aggregate(w_round: ParamSet, results: list[ClientResult],
     literal mode weighs each client by n_k / N (N = all datapoints across
     all clients); renormalized mode weighs by n_k / sum of the selected
     clients' n_k.  Accumulation runs in ascending client order, so the
-    result does not depend on who computed what where.  A client whose
-    tensor names or shapes differ from `w_round` raises ShapeError.
+    result does not depend on who computed what where.
     """
     ordered = sorted(results, key=lambda r: r.client_id)
     denom = float(total_datapoints if mode == "literal" else sum(r.n_samples for r in ordered))
     new = {k: w_round[k].copy() for k in w_round}
     for r in ordered:
-        w_round.check_structure(r.params)
         coef = r.n_samples / denom
         for k in new:
             new[k] += np.multiply(coef, d := r.params[k] - w_round[k], out=d)
-    return ParamSet(new)
+    return new
 
 
 # Samples per evaluation forward.  It bounds the memory of a validation or
@@ -230,8 +228,6 @@ EVAL_BATCH = 512
 def _batched_logits(graph: ModelGraph, params: ParamSet, x: np.ndarray,
                     y: np.ndarray):
     """(logits, labels) of consecutive batches of at most `EVAL_BATCH`."""
-    if x.shape[0] == 0:
-        raise ValueError("cannot evaluate on an empty set")
     for lo in range(0, x.shape[0], EVAL_BATCH):
         hi = lo + EVAL_BATCH
         yield nn.forward_logits(graph, params, x[lo:hi]), y[lo:hi]
@@ -419,10 +415,18 @@ def setup_experiment(cfg: ExperimentConfig):
     """
     train, test = _load_task_data(cfg)
     arch = build_arch(cfg.arch_name)
-    if train.samples.shape[1:] != arch.graph.input_shape:
-        raise ConfigError(
-            f"data_dir {cfg.data_dir!r}: {cfg.task} samples of shape "
-            f"{train.samples.shape[1:]} do not fit {arch.name} input {arch.graph.input_shape}")
+    # The model's forward, loss and accuracy trust the data from here on.
+    where, classes = f"data_dir {cfg.data_dir!r}: {cfg.task} ", arch.graph.output_shape[0]
+    for split, ds in (("train", train), ("test", test)):
+        if ds.samples.shape[1:] != arch.graph.input_shape:
+            raise ConfigError(
+                f"{where}samples of shape {ds.samples.shape[1:]} do not fit {arch.name} "
+                f"input {arch.graph.input_shape} in the {split} set")
+        if ds.n == 0:
+            raise ConfigError(f"{where}{split} set is empty")
+        if ds.labels.max() >= classes:
+            raise ConfigError(f"{where}label {ds.labels.max()} in the {split} set is not "
+                              f"one of {arch.name}'s {classes} classes (0-{classes - 1})")
 
     if cfg.train_subset is not None and cfg.train_subset < train.n:
         sub_rng = seeding.substream(cfg.seed, seeding.TRAIN_SUBSET)

@@ -41,8 +41,6 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     Returns (loss, grad); grad already includes the 1/B factor.
     """
     b = logits.shape[0]
-    if labels.shape != (b,):
-        raise nn.ShapeError(f"labels shape {labels.shape} does not match batch {b}")
     z = logits - logits.max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     loss = -logp[np.arange(b), labels].mean()
@@ -75,9 +73,9 @@ def wd_loss(w_round: ParamSet, w_local: ParamSet):
     Each tensor's difference d is the one new array: it is scaled in place
     into the gradient 2d once its square has been summed.
     """
-    d = w_local.zip_with(w_round, np.subtract)
+    d = {k: w_local[k] - w_round[k] for k in w_local}
     loss = sum((float((a * a).sum()) for a in d.values()), 0.0)
-    return loss, d.map(lambda a: np.multiply(2.0, a, out=a))
+    return loss, {k: np.multiply(2.0, a, out=a) for k, a in d.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -124,9 +122,6 @@ def matching_loss(local_trace: ForwardTrace, fixed_trace: ForwardTrace,
         src = local_trace.site_output(stage.source_site)
         target = fixed_trace.site_output(stage.target_site)
         out, cache = _stage_forward(stage, theta, src, local_trace)
-        if out.shape != target.shape:
-            raise nn.ShapeError(
-                f"stage {stage.index} output {out.shape} vs target {target.shape}")
         # Channel-last operands; a C-order residual keeps the sum's bytes.
         resid = np.subtract(out, target, order="C")
         b = resid.shape[0]
@@ -138,9 +133,9 @@ def matching_loss(local_trace: ForwardTrace, fixed_trace: ForwardTrace,
 def matching_backward(theta: ParamSet, stage_data):
     """Gradients of the matching loss.
 
-    Returns (theta_grads: ParamSet, site_grads: dict layer index -> grad of
-    the loss w.r.t. the *local* model's activation at that site).  Sites
-    shared by several stages accumulate.
+    Returns (theta_grads, keyed in theta's order, and site_grads: dict
+    layer index -> grad of the loss w.r.t. the *local* model's activation
+    at that site).  Sites shared by several stages accumulate.
     """
     theta_grads: dict[str, np.ndarray] = {}
     site_grads: dict[int, np.ndarray] = {}
@@ -153,10 +148,7 @@ def matching_backward(theta: ParamSet, stage_data):
             site_grads[s] = site_grads[s] + gsrc
         else:
             site_grads[s] = gsrc
-    ordered = {k: theta_grads[k] for k in theta if k in theta_grads}
-    if len(ordered) != len(theta_grads):
-        raise nn.ShapeError("decoder gradient keys do not match theta keys")
-    return ParamSet(ordered), site_grads
+    return {k: theta_grads[k] for k in theta}, site_grads
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +207,6 @@ def total_loss_and_grads(graph: ModelGraph, x: np.ndarray, y: np.ndarray,
     theta_grads = None
     site_grads: dict[int, np.ndarray] = {}
     if decoder is not None:
-        if theta is None:
-            raise ValueError("a matching decoder needs its parameters theta")
         # On a client's first step the local params are the broadcast, so
         # the local trace already is the fixed one.
         fixed_trace = (local_trace if w_local is w_round
@@ -225,7 +215,8 @@ def total_loss_and_grads(graph: ModelGraph, x: np.ndarray, y: np.ndarray,
         theta_grads, site_grads = matching_backward(theta, stage_data)
         if loss.matching_coeff != 1.0:
             c = loss.matching_coeff
-            theta_grads = theta_grads.map(lambda a: np.multiply(c, a, out=a))
+            for a in theta_grads.values():
+                np.multiply(c, a, out=a)
             site_grads = {k: c * v for k, v in site_grads.items()}
 
     w_grads = nn.backward(graph, w_local, local_trace, logits_grad,
@@ -241,8 +232,8 @@ def total_loss_and_grads(graph: ModelGraph, x: np.ndarray, y: np.ndarray,
         wd, wd_grads = wd_loss(w_round, w_local)
         # Both gradient sets are this call's own arrays: c * 2d is formed
         # in wd's and added into the model's in place.
-        w_grads = w_grads.zip_with(wd_grads, lambda g, d: np.add(
-            g, np.multiply(loss.wd_coeff, d, out=d), out=g))
+        for k, g in w_grads.items():
+            np.add(g, np.multiply(loss.wd_coeff, wd_grads[k], out=wd_grads[k]), out=g)
 
     total = ce + loss.matching_coeff * match_val + er + loss.wd_coeff * wd
     breakdown = LossBreakdown(cross_entropy=ce, matching=match_val, er=er,

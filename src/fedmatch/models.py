@@ -137,11 +137,8 @@ class MatchStage:
 
     @property
     def map_spec(self) -> LayerSpec:
-        """The stage's one layer with parameters."""
-        for spec in self.layers:
-            if spec.has_params:
-                return spec
-        raise GraphError(f"stage {self.index} has no learned map")
+        """The stage's one layer with parameters (`_segment_layers`)."""
+        return next(spec for spec in self.layers if spec.has_params)
 
 
 def _segment_layers(graph: ModelGraph, lo_site: int, hi_site: int) -> list[LayerSpec]:
@@ -201,7 +198,6 @@ def build_matching_decoder(arch: ModelArch, rng: np.random.Generator,
                 f"stage {stage.index} of {arch.name} rebuilds shape {got}, "
                 f"but site {lo} has shape {want}")
         stages.append(stage)
-    tensors: dict[str, np.ndarray] = {}
-    for st in stages:
-        tensors.update(nn.init_layer_params(st.map_spec, st.index, rng))
-    return tuple(stages), ParamSet(tensors)
+    theta = {k: v for st in stages
+             for k, v in nn.init_layer_params(st.map_spec, st.index, rng).items()}
+    return tuple(stages), theta

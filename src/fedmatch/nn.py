@@ -1,13 +1,17 @@
 """Small feed-forward network core on float64 numpy.
 
-Layers are described declaratively (`LayerSpec`), parameters live in flat
-name->array mappings (`ParamSet`), and every layer carries a hand-written
-backward rule.  There is intentionally no autodiff: the backward pass is
-the artifact under test, checked against finite differences.
+Layers are described declaratively (`LayerSpec`), parameters are plain
+dicts from tensor name to array (`ParamSet`), and every layer carries a
+hand-written backward rule.  There is intentionally no autodiff: the
+backward pass is the artifact under test, checked against finite
+differences.
 
 Conventions:
 
 * every tensor entering `forward` is batched: shape (B, *input_shape);
+* shapes are checked once, where a graph or decoder is built
+  (`output_shape`); the kernels, `forward` and `backward` trust them and
+  check only that each layer's output and gradient are finite;
 * dense weights are (in, out), conv kernels are (out_ch, in_ch, k, k),
   transposed-conv kernels are (in_ch, out_ch, k, k);
 * conv and transposed-conv layers are stride-1 with square kernels and
@@ -80,10 +84,8 @@ byte of any result.
 from __future__ import annotations
 
 import ctypes
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -251,56 +253,22 @@ def output_shape(spec: LayerSpec, in_shape: tuple[int, ...]) -> tuple[int, ...]:
 # Parameter sets
 
 
-class ParamSet(Mapping):
-    """Immutable-ish ordered mapping of tensor name -> float64 ndarray.
-
-    Functional style: operations return new ParamSets and never mutate the
-    arrays in place (client updates must not alias server state).  A
-    caller may map a function that writes into arrays it owns, such as
-    fresh gradients (`losses.total_loss_and_grads`).
-    """
-
-    __slots__ = ("_tensors",)
-
-    def __init__(self, tensors: Mapping[str, np.ndarray]):
-        self._tensors = {k: np.asarray(v, dtype=np.float64) for k, v in tensors.items()}
-
-    def __getitem__(self, key: str) -> np.ndarray:
-        return self._tensors[key]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._tensors)
-
-    def __len__(self) -> int:
-        return len(self._tensors)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}:{v.shape}" for k, v in self._tensors.items())
-        return f"ParamSet({inner})"
-
-    def map(self, fn) -> "ParamSet":
-        return ParamSet({k: fn(v) for k, v in self._tensors.items()})
-
-    def zip_with(self, other: "ParamSet", fn) -> "ParamSet":
-        self.check_structure(other)
-        return ParamSet({k: fn(v, other[k]) for k, v in self._tensors.items()})
-
-    def check_structure(self, other: "ParamSet") -> None:
-        if list(self) != list(other):
-            raise ShapeError(
-                f"parameter sets disagree on tensor names: {list(self)} vs {list(other)}")
-        for k in self:
-            if self[k].shape != other[k].shape:
-                raise ShapeError(
-                    f"tensor {k!r} shape mismatch: {self[k].shape} vs {other[k].shape}")
+# A parameter set is a plain dict from tensor name ("{layer}.w", "{layer}.b")
+# to float64 array, in layer order.  `init_params` and
+# `models.build_matching_decoder` fix its keys and shapes, and every
+# gradient or update is built over the same keys in the same order, so no
+# operation re-checks them.  Updates return new dicts and never write into
+# a parameter array (client updates must not alias server state); only
+# fresh gradients are written in place (`losses.total_loss_and_grads`).
+ParamSet = dict[str, np.ndarray]
 
 
 def sgd_step(params: ParamSet, grads: ParamSet, lr: float) -> ParamSet:
-    """One vanilla SGD step: params - lr * grads, as a new ParamSet.
+    """One vanilla SGD step: params - lr * grads, as a new dict.
 
     lr * g is the one new array per tensor; the difference overwrites it.
     """
-    return params.zip_with(grads, lambda p, g: np.subtract(p, t := lr * g, out=t))
+    return {k: np.subtract(p, t := lr * grads[k], out=t) for k, p in params.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -338,15 +306,14 @@ class ModelGraph:
 
 
 def layer_param_shapes(spec: LayerSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(w, b) shapes of a layer with parameters."""
+    """(w, b) shapes of a layer with parameters (dense, conv2d or
+    transposed_conv2d)."""
     if spec.kind == "dense":
         return (spec.in_units, spec.out_units), (spec.out_units,)
     k = spec.kernel
     if spec.kind == "conv2d":
         return (spec.out_channels, spec.in_channels, k, k), (spec.out_channels,)
-    if spec.kind == "transposed_conv2d":
-        return (spec.in_channels, spec.out_channels, k, k), (spec.out_channels,)
-    raise GraphError(f"layer kind {spec.kind!r} has no parameters")
+    return (spec.in_channels, spec.out_channels, k, k), (spec.out_channels,)
 
 
 def init_layer_params(spec: LayerSpec, i: int,
@@ -365,11 +332,8 @@ def init_params(graph: ModelGraph, rng: np.random.Generator) -> ParamSet:
     Draw order is fixed (layer order), so a given generator state yields
     the same parameters every time.
     """
-    tensors: dict[str, np.ndarray] = {}
-    for i, spec in enumerate(graph.layers):
-        if spec.has_params:
-            tensors.update(init_layer_params(spec, i, rng))
-    return ParamSet(tensors)
+    return {k: v for i, spec in enumerate(graph.layers) if spec.has_params
+            for k, v in init_layer_params(spec, i, rng).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +486,6 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
     result is the (B, O, OH, OW) view of the channel-last GEMM output,
     not an NCHW copy (module docstring, Layout).
     """
-    if x.shape[1] != w.shape[1] or w.shape[2] != w.shape[3]:
-        raise ShapeError(f"conv2d input {x.shape} does not match square kernel {w.shape}")
     out = _correlate_nhwc(x, w, padding)
     if b is not None:
         out += b
@@ -639,8 +601,6 @@ def maxpool2x2_forward(x: np.ndarray):
     first (row-major) position, as numpy argmax would.  The switch counts
     the leading corners that miss the maximum.
     """
-    if x.shape[2] % 2 or x.shape[3] % 2:
-        raise ShapeError(f"maxpool2x2 needs even spatial dims, got {x.shape}")
     corners = _corners(x)
     pooled = np.maximum(np.maximum(corners[0], corners[1]),
                         np.maximum(corners[2], corners[3]))
@@ -659,9 +619,6 @@ def maxpool2x2_backward(g: np.ndarray, switches: np.ndarray) -> np.ndarray:
 
 def unpool2x2_forward(x: np.ndarray, switches: np.ndarray) -> np.ndarray:
     """Place each value at its recorded corner of a 2x2 window, zeros elsewhere."""
-    if x.shape != switches.shape:
-        raise ShapeError(
-            f"unpool2x2 input {x.shape} must match switches {switches.shape}")
     b, c, h, w = x.shape
     out = np.zeros((b, 2 * h, 2 * w, c), dtype=x.dtype).transpose(0, 3, 1, 2)
     for s, corner in enumerate(_corners(out)):
@@ -707,7 +664,7 @@ class ForwardTrace:
         return self.outputs[layer_index]
 
 
-def layer_forward(spec: LayerSpec, i: int, x: np.ndarray, params: Mapping[str, np.ndarray],
+def layer_forward(spec: LayerSpec, i: int, x: np.ndarray, params: ParamSet,
                   switches: dict[int, np.ndarray]) -> np.ndarray:
     """Apply `spec`, the layer at index `i`, to the batch `x`.
 
@@ -730,13 +687,11 @@ def layer_forward(spec: LayerSpec, i: int, x: np.ndarray, params: Mapping[str, n
         return x.reshape(x.shape[0], -1)
     if spec.kind == "unflatten":
         return x.reshape(x.shape[0], *spec.shape)
-    if spec.kind == "unpool2x2":
-        return unpool2x2_forward(x, switches[spec.pool_layer])
-    raise GraphError(f"unknown layer kind {spec.kind!r}")  # pragma: no cover
+    return unpool2x2_forward(x, switches[spec.pool_layer])  # unpool2x2, the kind left
 
 
 def layer_backward(spec: LayerSpec, i: int, x: np.ndarray, g: np.ndarray,
-                   params: Mapping[str, np.ndarray], switches: dict[int, np.ndarray],
+                   params: ParamSet, switches: dict[int, np.ndarray],
                    grads: dict[str, np.ndarray]) -> np.ndarray:
     """Backprop `g` through `spec`, the layer at index `i` with input `x`.
 
@@ -760,18 +715,7 @@ def layer_backward(spec: LayerSpec, i: int, x: np.ndarray, g: np.ndarray,
         return maxpool2x2_backward(g, switches[i])
     if spec.kind in ("flatten", "unflatten"):
         return g.reshape(x.shape)
-    if spec.kind == "unpool2x2":
-        return unpool2x2_backward(g, switches[spec.pool_layer])
-    raise GraphError(f"unknown layer kind {spec.kind!r}")  # pragma: no cover
-
-
-def _checked_input(graph: ModelGraph, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[1:] != graph.input_shape:
-        raise ShapeError(
-            f"input shape {x.shape[1:]} does not match graph input {graph.input_shape}")
-    _check_finite("input", x)
-    return x
+    return unpool2x2_backward(g, switches[spec.pool_layer])  # unpool2x2, the kind left
 
 
 def _layer_outputs(graph: ModelGraph, params: ParamSet, x: np.ndarray,
@@ -791,7 +735,6 @@ def _layer_outputs(graph: ModelGraph, params: ParamSet, x: np.ndarray,
 
 def forward(graph: ModelGraph, params: ParamSet, x: np.ndarray) -> ForwardTrace:
     """Run the graph on a batch, keeping every intermediate activation."""
-    x = _checked_input(graph, x)
     switches: dict[int, np.ndarray] = {}
     outputs = tuple(_layer_outputs(graph, params, x, switches))
     return ForwardTrace(x=x, outputs=outputs, switches=switches)
@@ -800,8 +743,7 @@ def forward(graph: ModelGraph, params: ParamSet, x: np.ndarray) -> ForwardTrace:
 def forward_logits(graph: ModelGraph, params: ParamSet, x: np.ndarray) -> np.ndarray:
     """Run the graph on a batch for its logits alone: each activation is
     freed once the next layer has consumed it."""
-    cur = _checked_input(graph, x)
-    for cur in _layer_outputs(graph, params, cur, {}):
+    for cur in _layer_outputs(graph, params, x, {}):
         pass
     return cur
 
@@ -825,18 +767,8 @@ def backward(graph: ModelGraph, params: ParamSet, trace: ForwardTrace,
     network input is never a gradient source, so the input gradient is not
     computed: layer 0 yields only its parameter gradients.
     """
-    if len(trace.outputs) != len(graph.layers):
-        raise ShapeError("trace does not match graph layer count")
-    g = np.asarray(output_grad, dtype=np.float64)
-    if g.shape != trace.outputs[-1].shape:
-        raise ShapeError(
-            f"output_grad shape {g.shape} does not match logits {trace.outputs[-1].shape}")
+    g = output_grad
     site_grads = site_grads or {}
-    bad = sorted(k for k in site_grads if not 0 <= k < len(graph.layers))
-    if bad:
-        raise ShapeError(
-            f"site_grads keys {bad} are not layer indices of a "
-            f"{len(graph.layers)}-layer graph")
     grads: dict[str, np.ndarray] = {}
     for i in range(len(graph.layers) - 1, -1, -1):
         if i in site_grads:
@@ -848,8 +780,4 @@ def backward(graph: ModelGraph, params: ParamSet, trace: ForwardTrace,
             break
         g = layer_backward(spec, i, trace.outputs[i - 1], g, params, trace.switches, grads)
         _check_finite(f"layer {i} ({spec.kind}) gradient", g)
-    # Key order must mirror the parameter set so the two zip structurally.
-    ordered = {k: grads[k] for k in params if k in grads}
-    if len(ordered) != len(grads):
-        raise ShapeError("gradient keys do not match parameter keys")
-    return ParamSet(ordered)
+    return {k: grads[k] for k in params}  # in the parameters' (layer) order

@@ -154,20 +154,12 @@ def default_grid(task: str = "mnist") -> HyperGrid:
 
 @dataclass(frozen=True)
 class HyperDist:
-    """psi = (mu, log_precision), both (ndim,) in normalized coordinates."""
+    """psi = (mu, log_precision), both finite (ndim,) float64 arrays in
+    normalized coordinates, as `initial_dist` and `reinforce_update` make
+    them."""
 
     mu: np.ndarray
     log_precision: np.ndarray
-
-    def __post_init__(self) -> None:
-        mu = np.atleast_1d(np.asarray(self.mu, dtype=np.float64))
-        lp = np.atleast_1d(np.asarray(self.log_precision, dtype=np.float64))
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "log_precision", lp)
-        if mu.shape != lp.shape or mu.ndim != 1:
-            raise GridError(f"mu {mu.shape} and log_precision {lp.shape} must be (D,)")
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(lp))):
-            raise GridError("distribution parameters must be finite")
 
     @property
     def precision(self) -> np.ndarray:

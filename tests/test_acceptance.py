@@ -43,7 +43,6 @@ from fedmatch.losses import (
 )
 from fedmatch.metrics import MetricsSink, export_trajectory
 from fedmatch.models import build_arch, build_matching_decoder
-from fedmatch.nn import ParamSet
 from fedmatch.tuner import (
     HyperAxis,
     HyperGrid,
@@ -246,7 +245,7 @@ def test_criterion_05b_composite_gradients_all_architectures():
         x = 0.5 * rng.normal(size=(2,) + arch.graph.input_shape)
         y = rng.integers(0, 10, 2)
         w_round = nn.init_params(arch.graph, np.random.default_rng(12))
-        w = w_round.map(lambda a: a + 0.01 * rng.normal(size=a.shape))
+        w = {k: a + 0.01 * rng.normal(size=a.shape) for k, a in w_round.items()}
         decoder, theta = build_matching_decoder(arch, np.random.default_rng(13))
 
         _, w_grads, theta_grads = total_loss_and_grads(
@@ -380,9 +379,9 @@ def test_criterion_07_distribution_properties():
 
 def test_criterion_08_aggregation_matches_hand_computation():
     rng = np.random.default_rng(5)
-    w = ParamSet({"0.w": rng.normal(size=(4, 3)), "0.b": rng.normal(size=3)})
+    w = {"0.w": rng.normal(size=(4, 3)), "0.b": rng.normal(size=3)}
     sizes = (3, 5, 2, 10)
-    locals_ = [w.map(lambda a: a + rng.normal(size=a.shape)) for _ in sizes]
+    locals_ = [{k: a + rng.normal(size=a.shape) for k, a in w.items()} for _ in sizes]
 
     def result(cid):
         return ClientResult(client_id=cid, n_samples=sizes[cid],

@@ -460,7 +460,7 @@ class TestGolden:
         rng = np.random.default_rng(11)
         decoder, theta = build_matching_decoder(arch, rng)
         w_round = nn.init_params(arch.graph, rng)
-        w_local = w_round.map(lambda a: a + 0.01 * rng.normal(size=a.shape))
+        w_local = {k: a + 0.01 * rng.normal(size=a.shape) for k, a in w_round.items()}
         x = rng.normal(size=(6, *arch.graph.input_shape))
         y = rng.integers(0, 10, size=6)
         breakdown, w_grads, theta_grads = total_loss_and_grads(

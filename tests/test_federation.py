@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -22,7 +23,6 @@ from fedmatch.federation import (
     _pool_width,
     _schedule_lr,
     aggregate,
-    evaluate_accuracy,
     evaluate_loss,
     run_experiment,
     run_round,
@@ -210,23 +210,23 @@ class TestAggregate:
 
     def test_literal_scales_by_global_count(self):
         _, w = self._setup()
-        delta = w.map(lambda a: np.ones_like(a))
-        moved = w.zip_with(delta, lambda a, d: a + d)
+        moved = {k: a + np.ones_like(a) for k, a in w.items()}
         # one client holding 10 of 40 datapoints moves the average by 1/4
         out = aggregate(w, [self._result(0, 10, moved)], 40, "literal")
-        expect = w.map(lambda a: a + 0.25)
+        expect = {k: a + 0.25 for k, a in w.items()}
         assert all(np.allclose(out[k], expect[k]) for k in w)
 
     def test_renormalized_ignores_absent_clients(self):
         _, w = self._setup()
-        moved = w.map(lambda a: a + 1.0)
+        moved = {k: a + 1.0 for k, a in w.items()}
         out = aggregate(w, [self._result(0, 10, moved)], 40, "renormalized")
         assert all(np.allclose(out[k], w[k] + 1.0) for k in w)
 
     def test_modes_agree_under_full_participation(self):
         _, w = self._setup()
         rng = np.random.default_rng(7)
-        results = [self._result(c, n, w.map(lambda a: a + rng.normal(size=a.shape)))
+        results = [self._result(c, n, {k: a + rng.normal(size=a.shape)
+                                       for k, a in w.items()})
                    for c, n in [(0, 5), (1, 12), (2, 23)]]
         lit = aggregate(w, results, 40, "literal")
         ren = aggregate(w, results, 40, "renormalized")
@@ -235,21 +235,12 @@ class TestAggregate:
     def test_result_order_does_not_matter(self):
         _, w = self._setup()
         rng = np.random.default_rng(8)
-        results = [self._result(c, 10, w.map(lambda a: a + rng.normal(size=a.shape)))
+        results = [self._result(c, 10, {k: a + rng.normal(size=a.shape)
+                                        for k, a in w.items()})
                    for c in range(4)]
         fwd = aggregate(w, list(results), 40)
         rev = aggregate(w, list(reversed(results)), 40)
         assert params_equal(fwd, rev)
-
-    @pytest.mark.parametrize("bad", [
-        pytest.param({"0.b": np.zeros(1)}, id="bias-shape"),
-        pytest.param({"9.x": np.zeros(2)}, id="extra-tensor"),
-    ])
-    def test_mismatched_client_params_rejected(self, bad):
-        _, w = self._setup()
-        client = ParamSet({**w, **bad})
-        with pytest.raises(nn.ShapeError):
-            aggregate(w, [self._result(0, 10, w), self._result(1, 10, client)], 20)
 
 
 class TestScheduleLr:
@@ -273,23 +264,32 @@ class TestScheduleLr:
 
 
 class TestEvaluate:
-    @pytest.mark.parametrize("evaluate", [evaluate_loss, evaluate_accuracy])
-    def test_empty_set_is_a_value_error(self, evaluate):
-        graph = tiny_graph()
-        params = nn.init_params(graph, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="empty set"):
-            evaluate(graph, params, np.zeros((0, 8)), np.zeros(0, dtype=np.int64))
-
     def test_kws_run_with_an_empty_test_file_names_the_empty_set(self, tmp_path):
+        # Set-up rejects, naming data_dir, the task and the split, each kws
+        # container the model cannot train or score on.  Nothing later
+        # checks: the forward, the loss and the accuracy trust the data, and
+        # an out-of-range test label would only score 0.
         rng = np.random.default_rng(0)
         y = np.arange(24) % 4
-        write_features(tmp_path / "kws_train.fedf", Dataset(rng.random((24, 1, 32, 32)), y))
-        write_features(tmp_path / "kws_test.fedf",
-                       Dataset(np.zeros((0, 1, 32, 32)), np.zeros(0, dtype=np.int64)))
+        good = Dataset(rng.random((24, 1, 32, 32)), y)
+        bad_label = Dataset(good.samples, np.where(y == 3, 12, y))
+        cases = [
+            ("test", Dataset(rng.random((24, 1, 16, 16)), y),
+             r"samples of shape \(1, 16, 16\) do not fit kws_cnn input \(1, 32, 32\) "
+             r"in the test set"),
+            ("test", Dataset(np.zeros((0, 1, 32, 32)), np.zeros(0, dtype=np.int64)),
+             r"test set is empty"),
+            ("train", bad_label, r"label 12 in the train set is not one of kws_cnn's 10 "),
+            ("test", bad_label, r"label 12 in the test set is not one of kws_cnn's 10 "),
+        ]
         cfg = make_cfg({"task": "kws", "data_dir": str(tmp_path), "n_clients": 2,
                         "validation_size": 4})
-        with pytest.raises(ValueError, match="empty set"):
-            run_experiment(cfg)
+        for split, bad, message in cases:
+            for name in ("train", "test"):
+                write_features(tmp_path / f"kws_{name}.fedf", bad if name == split else good)
+            where = re.escape(f"data_dir {str(tmp_path)!r}: kws ")
+            with pytest.raises(ConfigError, match=f"^{where}{message}"):
+                run_experiment(cfg)
 
 
 class TestClientPool:

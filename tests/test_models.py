@@ -132,7 +132,10 @@ class TestDecoderWiring:
     @pytest.mark.parametrize("name", ["mnist_mlp", "cifar_cnn", "kws_cnn"])
     @pytest.mark.parametrize("with_input", [True, False])
     def test_every_stage_reconstructs_its_target_shape(self, name, with_input):
-        """Run the decoder for real and compare shapes site by site."""
+        """Run the decoder for real and compare shapes site by site, then
+        backprop through decoder and model: each gradient set carries
+        exactly its parameters' keys, in order, shape and dtype.  The
+        builders fix these, and no step re-checks them."""
         arch = build_arch(name)
         stages, theta = build_matching_decoder(arch, _rng(),
                                                include_input_site=with_input)
@@ -141,12 +144,25 @@ class TestDecoderWiring:
         params = nn.init_params(arch.graph, _rng())
         x = np.random.default_rng(5).normal(size=(2, *arch.graph.input_shape))
         trace = nn.forward(arch.graph, params, x)
-        from fedmatch.losses import _stage_forward
+        from fedmatch.losses import _stage_forward, matching_backward, matching_loss
         for stage in stages:
             src = trace.site_output(stage.source_site)
             out, _ = _stage_forward(stage, theta, src, trace)
             want = trace.site_output(stage.target_site).shape
             assert out.shape == want, f"{name} stage {stage.index}"
+
+        def layout(ps):
+            return [(k, v.shape, v.dtype) for k, v in ps.items()]
+
+        theta_grads, site_grads = matching_backward(
+            theta, matching_loss(trace, trace, stages, theta)[1])
+        assert layout(theta_grads) == layout(theta)
+        for site, g in site_grads.items():
+            assert 0 <= site < len(arch.graph.layers)
+            assert g.shape == trace.outputs[site].shape
+        grads = nn.backward(arch.graph, params, trace, np.ones_like(trace.logits),
+                            site_grads=site_grads)
+        assert layout(grads) == layout(params)
 
     def test_stage_targets_chain_through_all_sites(self):
         arch = build_arch("cifar_cnn")
