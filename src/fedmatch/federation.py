@@ -172,7 +172,7 @@ def _batch_indices(n: int, batch_size: int, iterations: int,
 def train_client(client: ClientState, w_round: ParamSet, graph: ModelGraph,
                  decoder: tuple[MatchStage, ...] | None, lr: float, iterations: int,
                  cfg: ExperimentConfig, rng: np.random.Generator) -> ClientResult:
-    """Run `iterations` steps of local SGD from the broadcast parameters.
+    """Run `iterations` (at least 1) steps of local SGD from the broadcast params.
 
     The objective follows `cfg.loss` and `cfg.use_wd`, with matching on
     exactly when `decoder` is given; batches have `cfg.batch_size` samples.
@@ -182,7 +182,6 @@ def train_client(client: ClientState, w_round: ParamSet, graph: ModelGraph,
     """
     w = w_round
     theta = client.theta
-    breakdown = None
     short = False
     for idx, is_short in _batch_indices(client.n_samples, cfg.batch_size,
                                         iterations, rng):
@@ -194,8 +193,6 @@ def train_client(client: ClientState, w_round: ParamSet, graph: ModelGraph,
         w = nn.sgd_step(w, w_grads, lr)
         if theta_grads is not None:
             theta = nn.sgd_step(theta, theta_grads, lr)
-    if breakdown is None:  # zero iterations: nothing moved
-        breakdown = LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)
     return ClientResult(client_id=client.client_id, n_samples=client.n_samples,
                         params=w, theta=theta, losses=breakdown, short_batch=short)
 
@@ -415,15 +412,21 @@ def setup_experiment(cfg: ExperimentConfig):
     """
     train, test = _load_task_data(cfg)
     arch = build_arch(cfg.arch_name)
-    # The model's forward, loss and accuracy trust the data from here on.
+    # The one check of the task data: the loaders only parse their formats,
+    # and the splits, partitions, forward, loss and accuracy trust it.
     where, classes = f"data_dir {cfg.data_dir!r}: {cfg.task} ", arch.graph.output_shape[0]
     for split, ds in (("train", train), ("test", test)):
         if ds.samples.shape[1:] != arch.graph.input_shape:
             raise ConfigError(
                 f"{where}samples of shape {ds.samples.shape[1:]} do not fit {arch.name} "
                 f"input {arch.graph.input_shape} in the {split} set")
+        if ds.labels.shape != ds.samples.shape[:1]:
+            raise ConfigError(f"{where}{split} set has labels of shape {ds.labels.shape} "
+                              f"for {ds.samples.shape[0]} samples")
         if ds.n == 0:
             raise ConfigError(f"{where}{split} set is empty")
+        if not np.isfinite(ds.samples).all():
+            raise ConfigError(f"{where}{split} set has non-finite samples")
         if ds.labels.max() >= classes:
             raise ConfigError(f"{where}label {ds.labels.max()} in the {split} set is not "
                               f"one of {arch.name}'s {classes} classes (0-{classes - 1})")
@@ -443,6 +446,13 @@ def setup_experiment(cfg: ExperimentConfig):
         part_rng = seeding.substream(cfg.seed, seeding.PARTITION)
         shards = partition_iid(train.n, cfg.n_clients, part_rng)
     else:
+        # _validate makes n_clients the task's class count; a split can empty a class.
+        counts = np.bincount(train.labels, minlength=cfg.n_clients)
+        if not counts.all():
+            raise ConfigError(
+                f"{where}train set, after the train subset and validation split, lacks "
+                f"classes {np.flatnonzero(counts == 0).tolist()}; the non_iid partition "
+                f"gives each of the {cfg.n_clients} clients one class")
         shards = partition_by_class(train.labels, cfg.n_clients)
 
     decoder = None

@@ -135,19 +135,13 @@ def matching_backward(theta: ParamSet, stage_data):
 
     Returns (theta_grads, keyed in theta's order, and site_grads: dict
     layer index -> grad of the loss w.r.t. the *local* model's activation
-    at that site).  Sites shared by several stages accumulate.
+    at that site).  Each stage has its own source site (`match_sites`).
     """
     theta_grads: dict[str, np.ndarray] = {}
     site_grads: dict[int, np.ndarray] = {}
     for stage, cache, resid in stage_data:
-        b = resid.shape[0]
-        g = (2.0 / b) * resid
-        gsrc = _stage_backward(stage, theta, cache, g, theta_grads)
-        s = stage.source_site
-        if s in site_grads:
-            site_grads[s] = site_grads[s] + gsrc
-        else:
-            site_grads[s] = gsrc
+        g = (2.0 / resid.shape[0]) * resid
+        site_grads[stage.source_site] = _stage_backward(stage, theta, cache, g, theta_grads)
     return {k: theta_grads[k] for k in theta}, site_grads
 
 

@@ -78,13 +78,6 @@ class TestIdx:
         with pytest.raises(DataFormatError, match="missing"):
             load_mnist(tmp_path)
 
-    def test_load_mnist_count_mismatch(self, tmp_path):
-        make_mnist_dir(tmp_path)
-        write_idx(tmp_path / "train-labels-idx1-ubyte",
-                  np.zeros(7, dtype=np.uint8))
-        with pytest.raises(DataFormatError, match="images vs"):
-            load_mnist(tmp_path)
-
 
 @pytest.fixture(scope="module")
 def cifar_dir(tmp_path_factory):
@@ -127,13 +120,6 @@ class TestCifar:
         with open(tmp_path / "data_batch_3.bin", "ab") as f:
             f.write(b"\x00" * 100)
         with pytest.raises(DataFormatError, match="3073"):
-            load_cifar10(tmp_path)
-
-    def test_label_out_of_range_rejected(self, cifar_dir, tmp_path):
-        link_cifar(cifar_dir, tmp_path, corrupt="test_batch.bin")
-        with open(tmp_path / "test_batch.bin", "r+b") as f:
-            f.write(b"\x4d")
-        with pytest.raises(DataFormatError, match="labels"):
             load_cifar10(tmp_path)
 
 
@@ -234,6 +220,23 @@ class TestStratifiedHoldout:
         sub = stratified_holdout(ds, 60, np.random.default_rng(1))[1]
         assert np.array_equal(np.bincount(sub.labels), np.full(5, 12))
 
+    @settings(max_examples=50, deadline=None)
+    @given(counts=st.lists(st.integers(1, 30), min_size=2, max_size=8),
+           data=st.data(), seed=st.integers(0, 99))
+    def test_quotas_never_exceed_a_class(self, counts, data, seed):
+        # For 0 < h < n, floor(h * c / n) <= c - 1 and the remainder adds at
+        # most one, so a quota fits its class and the holdout is exact.
+        labels = np.repeat(np.arange(len(counts)), counts)
+        n = labels.size
+        h = data.draw(st.integers(1, n - 1), label="holdout_size")
+        rng = np.random.default_rng(seed)
+        ds = Dataset(np.arange(n, dtype=np.float64)[:, None], rng.permutation(labels))
+        rest, hold = stratified_holdout(ds, h, rng)
+        assert hold.n == h and rest.n == n - h
+        assert np.all(np.bincount(hold.labels, minlength=len(counts)) <= counts)
+        ids = np.concatenate([rest.samples[:, 0], hold.samples[:, 0]])
+        assert np.array_equal(np.sort(ids), np.arange(n))
+
 
 class TestPartitions:
     @settings(max_examples=25, deadline=None)
@@ -252,16 +255,6 @@ class TestPartitions:
         for k, idx in enumerate(shards):
             assert np.all(y[idx] == k)
             assert idx.size == 13
-
-    def test_class_partition_requires_matching_client_count(self):
-        y = np.repeat(np.arange(10), 5)
-        with pytest.raises(ValueError, match="0..6"):
-            partition_by_class(y, 7)
-
-    def test_class_partition_rejects_missing_class(self):
-        y = np.repeat([0, 1, 3], 5)  # class 2 absent
-        with pytest.raises(ValueError):
-            partition_by_class(y, 4)
 
     def test_deterministic_iid_partition(self):
         a = partition_iid(100, 7, np.random.default_rng(42))

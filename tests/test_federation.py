@@ -35,6 +35,8 @@ from fedmatch.metrics import MetricsSink
 from fedmatch.models import build_arch, build_matching_decoder
 from fedmatch.nn import ModelGraph, ParamSet, dense, relu
 
+from test_data import make_mnist_dir, write_idx
+
 BASE = {
     "task": "synthetic",
     "seed": 11,
@@ -124,15 +126,6 @@ class TestTrainClient:
 
     def _cfg(self, **loss):
         return replace(make_cfg(), loss=LossConfig(**loss))
-
-    def test_zero_iterations_returns_broadcast_untouched(self):
-        graph = tiny_graph()
-        w = nn.init_params(graph, np.random.default_rng(1))
-        res = train_client(self._client(), w, graph, None,
-                           0.1, 0,
-                           self._cfg(use_er=False), np.random.default_rng(2))
-        assert params_equal(res.params, w)
-        assert res.losses.total == 0.0
 
     def test_sgd_reduces_training_loss(self):
         graph = tiny_graph()
@@ -273,23 +266,47 @@ class TestEvaluate:
         y = np.arange(24) % 4
         good = Dataset(rng.random((24, 1, 32, 32)), y)
         bad_label = Dataset(good.samples, np.where(y == 3, 12, y))
+        nan_sample = Dataset(good.samples.copy(), y)
+        nan_sample.samples[5, 0, 7, 9] = np.nan
+        non_iid = {"partition": "non_iid", "n_clients": 10}
         cases = [
             ("test", Dataset(rng.random((24, 1, 16, 16)), y),
              r"samples of shape \(1, 16, 16\) do not fit kws_cnn input \(1, 32, 32\) "
-             r"in the test set"),
+             r"in the test set", {}),
             ("test", Dataset(np.zeros((0, 1, 32, 32)), np.zeros(0, dtype=np.int64)),
-             r"test set is empty"),
-            ("train", bad_label, r"label 12 in the train set is not one of kws_cnn's 10 "),
-            ("test", bad_label, r"label 12 in the test set is not one of kws_cnn's 10 "),
+             r"test set is empty", {}),
+            ("train", bad_label, r"label 12 in the train set is not one of kws_cnn's 10 ", {}),
+            ("test", bad_label, r"label 12 in the test set is not one of kws_cnn's 10 ", {}),
+            ("train", nan_sample, r"train set has non-finite samples", {}),
+            ("test", nan_sample, r"test set has non-finite samples", {}),
+            ("train", Dataset(good.samples, np.arange(24) % 9),
+             r"train set, after the train subset and validation split, lacks classes \[9\]",
+             non_iid),
         ]
-        cfg = make_cfg({"task": "kws", "data_dir": str(tmp_path), "n_clients": 2,
-                        "validation_size": 4})
-        for split, bad, message in cases:
+        where = re.escape(f"data_dir {str(tmp_path)!r}: kws ")
+        for split, bad, message, overrides in cases:
             for name in ("train", "test"):
                 write_features(tmp_path / f"kws_{name}.fedf", bad if name == split else good)
-            where = re.escape(f"data_dir {str(tmp_path)!r}: kws ")
+            cfg = make_cfg({"task": "kws", "data_dir": str(tmp_path), "n_clients": 2,
+                            "validation_size": 4, **overrides})
             with pytest.raises(ConfigError, match=f"^{where}{message}"):
                 run_experiment(cfg)
+
+    @pytest.mark.parametrize("labels, message", [
+        (np.zeros(7), r"train set has labels of shape \(7,\) for 40 samples"),
+        (np.where(np.arange(40) == 3, 12, np.arange(40) % 10),
+         r"label 12 in the train set is not one of mnist_mlp's 10 "),
+    ])
+    def test_mnist_run_with_bad_train_labels_names_the_train_set(self, tmp_path, labels,
+                                                                 message):
+        # The MNIST loader only parses the IDX files; set-up checks the labels.
+        make_mnist_dir(tmp_path)
+        write_idx(tmp_path / "train-labels-idx1-ubyte", labels)
+        cfg = make_cfg({"task": "mnist", "data_dir": str(tmp_path), "n_clients": 2,
+                        "validation_size": 4})
+        where = re.escape(f"data_dir {str(tmp_path)!r}: mnist ")
+        with pytest.raises(ConfigError, match=f"^{where}{message}"):
+            run_experiment(cfg)
 
 
 class TestClientPool:
