@@ -120,7 +120,9 @@ def load_mnist(data_dir: str | Path) -> tuple[Dataset, Dataset]:
 
 
 def _read_cifar_batch(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    raw = Path(path).read_bytes()
+    if not path.exists():
+        raise DataFormatError(f"missing CIFAR-10 file: {path}")
+    raw = path.read_bytes()
     if len(raw) % 3073:
         raise DataFormatError(
             f"{path}: length {len(raw)} is not a multiple of 3073")
@@ -134,20 +136,9 @@ def _read_cifar_batch(path: Path) -> tuple[np.ndarray, np.ndarray]:
 def load_cifar10(data_dir: str | Path) -> tuple[Dataset, Dataset]:
     """Load CIFAR-10 binary batches (50k train across five files, 10k test)."""
     d = Path(data_dir)
-    xs, ys = [], []
-    for fname in CIFAR_TRAIN_FILES:
-        path = d / fname
-        if not path.exists():
-            raise DataFormatError(f"missing CIFAR-10 file: {path}")
-        x, y = _read_cifar_batch(path)
-        xs.append(x)
-        ys.append(y)
+    xs, ys = zip(*(_read_cifar_batch(d / fname) for fname in CIFAR_TRAIN_FILES))
     train = Dataset(np.concatenate(xs), np.concatenate(ys))
-    test_path = d / CIFAR_TEST_FILE
-    if not test_path.exists():
-        raise DataFormatError(f"missing CIFAR-10 file: {test_path}")
-    xt, yt = _read_cifar_batch(test_path)
-    test = Dataset(xt, yt)
+    test = Dataset(*_read_cifar_batch(d / CIFAR_TEST_FILE))
     if train.n != 50000 or test.n != 10000:
         raise DataFormatError(
             f"unexpected CIFAR-10 sizes: train {train.n}, test {test.n}")

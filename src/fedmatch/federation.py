@@ -7,7 +7,9 @@ validation loss, score the reward, and update the tuning distribution.
 
 Clients can run serially or on a thread pool; results reduce in client-id
 order either way, so both paths are bitwise identical.  The pool is never
-wider than the cores that each client's BLAS threads leave free.  Every
+wider than the cores that each client's BLAS threads leave free.  A model
+without conv layers trains and evaluates on one BLAS thread, so its
+clients fill the cores (`_model_blas_threads`).  Every
 random draw comes from a named substream of the experiment seed (see
 `seeding`), which pins the whole run, including the bytes of its metrics
 files.
@@ -15,9 +17,11 @@ files.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import os
+import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -224,10 +228,12 @@ EVAL_BATCH = 512
 
 def _batched_logits(graph: ModelGraph, params: ParamSet, x: np.ndarray,
                     y: np.ndarray):
-    """(logits, labels) of consecutive batches of at most `EVAL_BATCH`."""
-    for lo in range(0, x.shape[0], EVAL_BATCH):
-        hi = lo + EVAL_BATCH
-        yield nn.forward_logits(graph, params, x[lo:hi]), y[lo:hi]
+    """(logits, labels) of consecutive batches of at most `EVAL_BATCH`, on
+    the BLAS threads of `_model_blas_threads`."""
+    with _model_blas_threads(graph):
+        for lo in range(0, x.shape[0], EVAL_BATCH):
+            hi = lo + EVAL_BATCH
+            yield nn.forward_logits(graph, params, x[lo:hi]), y[lo:hi]
 
 
 def evaluate_loss(graph: ModelGraph, params: ParamSet, x: np.ndarray,
@@ -255,37 +261,63 @@ def _schedule_lr(cfg: ExperimentConfig, t: int) -> float:
     return cfg.schedule.initial_lr * (0.5 ** stage)
 
 
-# Thread-count getters of OpenBLAS builds: the plain name, and the
-# 64-bit-integer build that numpy wheels bundle.
-_BLAS_THREAD_GETTERS = ("openblas_get_num_threads", "scipy_openblas_get_num_threads64_")
+# Thread-count calls of OpenBLAS builds, "get" or "set" in the braces: the
+# plain names, and the 64-bit-integer build that numpy wheels bundle.
+_BLAS_THREAD_CALLS = ("openblas_{}_num_threads", "scipy_openblas_{}_num_threads64_")
 
 
 @functools.cache
-def _blas_thread_getter():
-    """ctypes getter of the loaded OpenBLAS's thread count, or None.
+def _blas_thread_calls():
+    """(getter, setter) of the loaded OpenBLAS's thread count: the setter is
+    None if it has none, and both are None if it has no getter.
 
-    Looks the getter up through numpy's linalg extension: a symbol lookup
-    on its handle also searches the libraries it links, so it finds the
-    OpenBLAS copy numpy loaded, wherever it lives.  Never sets the count:
-    the bytes of a GEMM can depend on it.
+    Looks them up through numpy's linalg extension: a symbol lookup on its
+    handle also searches the libraries it links, so it finds the OpenBLAS
+    copy numpy loaded, wherever it lives.
     """
     try:
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except (AttributeError, OSError):  # a numpy without that extension file
-        return None
-    for name in _BLAS_THREAD_GETTERS:
-        getter = getattr(lib, name, None)
-        if getter is not None:
-            getter.argtypes = []
-            getter.restype = ctypes.c_int
-            return getter
-    return None
+        return None, None
+    for name in _BLAS_THREAD_CALLS:
+        if (get := getattr(lib, name.format("get"), None)) is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            if (put := getattr(lib, name.format("set"), None)) is not None:
+                put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None, None
 
 
 def _blas_threads() -> int | None:
     """Threads the loaded OpenBLAS runs each GEMM on; None if unknown."""
-    getter = _blas_thread_getter()
-    return None if getter is None else int(getter())
+    get = _blas_thread_calls()[0]
+    return None if get is None else int(get())
+
+
+@contextlib.contextmanager
+def _model_blas_threads(graph: ModelGraph):
+    """Run the block's GEMMs on one BLAS thread if `graph` has no conv layer;
+    yields the count they run on (None if unknown).
+
+    A dense-only model (mnist_mlp, and so its decoder) has GEMMs too small
+    to gain from BLAS threads, and at 1 thread their bytes no longer
+    depend on the library's count, so its clients fill the cores instead
+    (`_pool_width`).  Conv GEMMs gain about 30% from 2 threads; a conv
+    model keeps the library's count.  The count is global, so only the
+    main thread sets it, never while a client trains, and the old count
+    comes back even when the block raises.  A BLAS whose count cannot be
+    read or set is left as it is.
+    """
+    before, put = _blas_threads(), _blas_thread_calls()[1]
+    if (before is None or put is None or threading.current_thread() is not threading.main_thread()
+            or any(spec.kind.endswith("conv2d") for spec in graph.layers)):
+        yield before
+        return
+    put(1)
+    try:
+        yield 1
+    finally:
+        put(before)
 
 
 def _cores() -> int:
@@ -336,12 +368,13 @@ def run_round(server: ServerState, clients: list[ClientState],
         return train_client(clients[cid], server.params, arch.graph, decoder,
                             lr, iterations, cfg, crng)
 
-    workers = _pool_width(cfg.parallel_clients, _blas_threads(), _cores())
-    if workers > 1 and len(selected) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, selected))
-    else:
-        results = [work(cid) for cid in selected]
+    with _model_blas_threads(arch.graph) as blas:
+        workers = _pool_width(cfg.parallel_clients, blas, _cores())
+        if workers > 1 and len(selected) > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(work, selected))
+        else:
+            results = [work(cid) for cid in selected]
 
     # 4. aggregate and persist decoder params
     new_params = aggregate(server.params, results, server.total_datapoints,
@@ -495,7 +528,8 @@ def run_experiment(cfg: ExperimentConfig, sink=None,
     """
     server, clients, arch, decoder, test = setup_experiment(cfg)
     if progress is not None:
-        blas, cores = _blas_threads(), _cores()
+        with _model_blas_threads(arch.graph) as blas:  # the count the rounds run on
+            cores = _cores()
         progress(f"client pool: {_pool_width(cfg.parallel_clients, blas, cores)} "
                  f"thread(s) (parallel_clients {cfg.parallel_clients}, BLAS threads "
                  f"{'unknown' if blas is None else blas}, cores {cores}); "

@@ -72,13 +72,7 @@ def write_summary(run_dir: str | Path, summary: dict) -> None:
 
 
 def read_jsonl(path: str | Path) -> list[dict]:
-    out = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out
+    return [json.loads(line) for line in Path(path).read_text().splitlines() if line.strip()]
 
 
 def read_run(run_dir: str | Path) -> dict:
@@ -87,15 +81,13 @@ def read_run(run_dir: str | Path) -> dict:
     if not (d / "rounds.jsonl").exists():
         raise FileNotFoundError(f"{d} does not look like a run directory "
                                 f"(no rounds.jsonl)")
-    out = {
+    return {
         "config": json.loads((d / "config.json").read_text()),
         "rounds": read_jsonl(d / "rounds.jsonl"),
         "evals": read_jsonl(d / "evals.jsonl") if (d / "evals.jsonl").exists() else [],
-        "summary": None,
+        "summary": (json.loads((d / "summary.json").read_text())
+                    if (d / "summary.json").exists() else None),
     }
-    if (d / "summary.json").exists():
-        out["summary"] = json.loads((d / "summary.json").read_text())
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -159,13 +151,8 @@ def build_table(run_dirs: list[str | Path]) -> list[dict]:
         mean = sum(accs) / len(accs)
         std = statistics.stdev(accs) if len(accs) > 1 else 0.0
         cfg = g["config"]
-        variant = []
-        if cfg.get("use_tuner"):
-            variant.append("tuned")
-        if cfg.get("use_matching"):
-            variant.append("matching")
-        if cfg.get("use_wd"):
-            variant.append("wd")
+        variant = [name for name, key in (("tuned", "use_tuner"), ("matching", "use_matching"),
+                                          ("wd", "use_wd")) if cfg.get(key)]
         rows.append({
             "task": cfg.get("task"),
             "partition": cfg.get("partition"),

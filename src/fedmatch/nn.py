@@ -32,9 +32,11 @@ batch slices whose im2col (or tap-sum) intermediate stays within
 batch (128 samples, 64 -> 64 channels at 32x32) is ~600 MB.  Each slice
 is padded into one reused zero-bordered buffer, so no padded copy of the
 whole batch is made (75 MB per conv of that batch).  The buffer is no
-larger than a slice's patches; it can outgrow a slice's taps, at most as
-large as the whole-batch copy was (19 MB for the kws_cnn decoder's
-64 -> 1 stage at B=32, 7x its taps).  The slices are a fixed function of
+larger than a slice's patches, and the tap-sum step counts the larger of
+a sample's taps and its padded copy, so the buffer too stays within
+`SLICE_BYTES`: the kws_cnn decoder's 64 -> 1 stage at B=32 pads 14
+samples at a time (8 MiB), where a step sized by its taps padded 100
+(19 MB, 7x the taps).  The slices are a fixed function of
 the shapes, so runs stay deterministic, and at the models' conv shapes
 OpenBLAS gives each output row the same bytes whatever the row count, so
 slicing changes no byte there.  A conv's weight gradient sums over the
@@ -453,7 +455,9 @@ def _correlate_nhwc(x: np.ndarray, w: np.ndarray, padding: int,
     if c <= o:
         wm, sample_size = w.transpose(0, 2, 3, 1).reshape(o, -1).T, oh * ow * k * k * c
     else:
-        wm, sample_size = w.transpose(1, 2, 3, 0).reshape(c, -1), hp * wp * k * k * o
+        # The padded buffer can outgrow the taps when O is small (kws_cnn's
+        # 64 -> 1 decoder stage); the larger of the two sets the step.
+        wm, sample_size = w.transpose(1, 2, 3, 0).reshape(c, -1), hp * wp * max(k * k * o, c)
     step = max(1, SLICE_BYTES // (sample_size * out.itemsize))
     xh = np.zeros((min(step, bsz), hp, wp, c)) if patches is None else None
     win = _windows(xh, k) if patches is None else patches.reshape(bsz, oh, ow, -1)

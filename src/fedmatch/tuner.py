@@ -130,12 +130,8 @@ class HyperGrid:
         return _read_only(np.stack([m.reshape(-1) for m in mesh], axis=1))
 
     def raw_values(self, flat_index: int) -> dict[str, float | int]:
-        idx = np.unravel_index(flat_index, self.shape)
-        out: dict[str, float | int] = {}
-        for a, i in zip(self.axes, idx):
-            v = a.values[int(i)]
-            out[a.name] = int(v) if a.integer else float(v)
-        return out
+        return {a.name: (int if a.integer else float)(a.values[int(i)])
+                for a, i in zip(self.axes, np.unravel_index(flat_index, self.shape))}
 
 
 def default_grid(task: str = "mnist") -> HyperGrid:

@@ -414,11 +414,13 @@ RUN_VARIANTS = {
 
 # name -> (sha256 of rounds.jsonl, sha256 of evals.jsonl); recorded with
 # numpy + OpenBLAS on x86-64 in float64.  A BLAS that rounds differently
-# changes these digests without any change to the program.
+# changes these digests without any change to the program.  These mnist_mlp
+# runs take one BLAS thread whatever the library's count
+# (`federation._model_blas_threads`).
 GOLDEN_RUNS = {
     "tuned_matching": ("1711672a8b8a98db73f4617abc269100f9eded2ec19fdbc4f702bce1393b99ba",
                        "771485146e300cc19249f68fd69a5b8a91193a94f083e7703a07a74b80e8e1dc"),
-    "wd": ("7b3577965a100c2c84ad7b9018d2de2db9f71ad8562cce60039c0f3f95f51862",
+    "wd": ("c201d707bfe9b85c15f960a5800f028904a62e4b30888dd429b0764f5f712154",
            "c1bfa85e9d086cec4cc5c6dbacc9ab1629085e04a214d7d037e022027a7dd92e"),
     "fixed": ("9711fc700c366791a40b581d2a27bd15d35e16a5cd6a241ce57fc23788f3a068",
               "c1bfa85e9d086cec4cc5c6dbacc9ab1629085e04a214d7d037e022027a7dd92e"),

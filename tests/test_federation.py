@@ -326,50 +326,110 @@ class TestClientPool:
     def test_probe_reads_the_blas_thread_count_from_the_environment(self):
         if _blas_threads() is None:
             pytest.skip("no OpenBLAS thread-count getter in this process")
-        src = Path(federation.__file__).resolve().parents[1]
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-               "PYTHONPATH": os.pathsep.join(
-                   filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
         out = subprocess.run(
             [sys.executable, "-c",
              "from fedmatch import federation; print(federation._blas_threads())"],
-            env=env, capture_output=True, text=True, timeout=60, check=True)
+            env=_env_with_blas_threads(1), capture_output=True, text=True, timeout=60,
+            check=True)
         assert out.stdout.strip() == "1"
+
+    def test_dense_only_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # mnist_mlp trains and evaluates on one BLAS thread whatever the
+        # library's count, so serial and pooled runs at OPENBLAS_NUM_THREADS
+        # 1 and 2 write the same records.  OpenBLAS caps its count at the
+        # cores, so this shows equality only up to this machine's cores.
+        # With the library's count, rounds.jsonl differs between 1 and 2
+        # threads on a 2-core machine.
+        _skip_unless_blas_is_settable()
+        cfg = {**BASE, "use_tuner": True, "use_matching": True, "batch_size": 64,
+               "validation_size": 200, "synthetic": {"classes": 4, "per_class": 80,
+                                                     "test_per_class": 10},
+               "loss": {"matching_coeff": 0.1},
+               "tuner": {"axes": [{"name": "learning_rate", "values": [0.01, 0.05]},
+                                  {"name": "sgd_iterations", "values": [2, 3]}]}}
+        runs = set()
+        for threads in (1, 2):
+            for parallel in (1, 2):
+                out = tmp_path / f"t{threads}p{parallel}"
+                cfg_path = tmp_path / f"t{threads}p{parallel}.json"
+                cfg_path.write_text(json.dumps({**cfg, "parallel_clients": parallel,
+                                                "output_dir": str(out)}))
+                subprocess.run([sys.executable, "-m", "fedmatch.cli", "run", "--quiet",
+                                str(cfg_path)], env=_env_with_blas_threads(threads),
+                               capture_output=True, timeout=300, check=True)
+                runs.add(tuple((out / name).read_bytes()
+                               for name in ("rounds.jsonl", "evals.jsonl")))
+        assert len(runs) == 1
 
     def test_forced_pool_trains_on_several_threads_with_serial_bytes(
             self, monkeypatch, tmp_path):
-        def rounds_bytes(tag, parallel):
-            with MetricsSink(tmp_path / tag) as sink:
-                run_experiment(make_cfg({"parallel_clients": parallel,
-                                         "use_matching": True}), sink=sink)
-            return (tmp_path / tag / "rounds.jsonl").read_bytes()
-
-        serial = rounds_bytes("serial", 1)
+        serial = _rounds_bytes(tmp_path / "serial", 1)
         monkeypatch.setattr(federation, "_pool_width", lambda *args: 2)
-        threads = set()
-        lock = threading.Lock()
-        running = [0, 0]  # now, most at once
-        # Each client waits for a partner, so the pool must run two at once.
-        pair = threading.Barrier(2, timeout=30)
-        real_train = federation.train_client
-
-        def paired(*args):
-            with lock:
-                threads.add(threading.get_ident())
-                running[0] += 1
-                running[1] = max(running)
-            try:
-                pair.wait()
-                return real_train(*args)
-            finally:
-                with lock:
-                    running[0] -= 1
-
-        monkeypatch.setattr(federation, "train_client", paired)
-        pooled = rounds_bytes("pooled", 4)
+        threads, running = _pair_clients(monkeypatch)
+        pooled = _rounds_bytes(tmp_path / "pooled", 4)
         assert len(threads) >= 2
         assert running[1] == 2  # the width, not parallel_clients
         assert pooled == serial
+
+    def test_mlp_pool_trains_two_clients_at_once_with_serial_bytes(
+            self, monkeypatch, tmp_path):
+        # One BLAS thread per client leaves a core for a second client.
+        _skip_unless_blas_is_settable()
+        if federation._cores() < 2:
+            pytest.skip("one core: the pool is one client wide")
+        serial = _rounds_bytes(tmp_path / "serial", 1)
+        threads, running = _pair_clients(monkeypatch)
+        pooled = _rounds_bytes(tmp_path / "pooled", 2)
+        assert len(threads) >= 2
+        assert running[1] == 2
+        assert pooled == serial
+
+    def test_blas_count_comes_back_after_a_run_and_a_failed_round(self, monkeypatch):
+        put = _skip_unless_blas_is_settable()
+        before = _blas_threads()
+        if before == 1:  # make the pin to 1 visible
+            put(2)
+        try:
+            outer = _blas_threads()
+            run_experiment(make_cfg({"parallel_clients": 2}))
+            assert _blas_threads() == outer
+            seen = []
+
+            def diverge(*args):
+                seen.append(_blas_threads())
+                raise nn.NonFiniteError("non-finite values in loss")
+
+            monkeypatch.setattr(federation, "train_client", diverge)
+            with pytest.raises(nn.NonFiniteError):
+                run_experiment(make_cfg({"parallel_clients": 2}))
+            assert set(seen) == {1}  # every client trained on one BLAS thread
+            assert _blas_threads() == outer
+        finally:
+            put(before)
+
+    def test_only_a_dense_only_model_sets_the_blas_count(self, monkeypatch, tmp_path):
+        _skip_unless_blas_is_settable()
+        get, put = federation._blas_thread_calls()
+        calls = []
+
+        def spy(n):
+            calls.append(n)
+            put(n)
+
+        monkeypatch.setattr(federation, "_blas_thread_calls", lambda: (get, spy))
+        rng = np.random.default_rng(0)
+        y = np.arange(24) % 4
+        for split in ("train", "test"):
+            write_features(tmp_path / f"kws_{split}.fedf",
+                           Dataset(rng.random((24, 1, 32, 32)), y))
+        run_experiment(make_cfg({"task": "kws", "data_dir": str(tmp_path), "n_clients": 2,
+                                 "validation_size": 4, "rounds": 1, "batch_size": 4,
+                                 "parallel_clients": 2,
+                                 "schedule": {"initial_lr": 0.05, "iterations": 1}}))
+        assert calls == []
+        outer = get()
+        run_experiment(make_cfg({"rounds": 1, "parallel_clients": 2}))
+        assert calls and calls == [1, outer] * (len(calls) // 2)
 
     def test_run_names_the_pool_on_stderr_only(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -378,15 +438,69 @@ class TestClientPool:
                                         "output_dir": str(out)}))
         assert main(["run", str(cfg_path)]) == 0
         err = capsys.readouterr().err.splitlines()
-        blas = _blas_threads()
         cores = federation._cores()
+        if None in federation._blas_thread_calls():
+            blas = _blas_threads()
+            width = _pool_width(3, blas, cores)
+        else:  # mnist_mlp's rounds run on one BLAS thread, a client per core
+            blas, width = 1, min(3, cores)
         assert err[0] == (
-            f"client pool: {_pool_width(3, blas, cores)} thread(s) (parallel_clients 3, "
+            f"client pool: {width} thread(s) (parallel_clients 3, "
             f"BLAS threads {'unknown' if blas is None else blas}, cores {cores}); "
             f"heap reuse {'on' if nn.HEAP_REUSE else 'unavailable'}")
         for name in ("rounds.jsonl", "evals.jsonl", "config.json"):
             text = (out / name).read_text()
             assert "client pool" not in text and "heap reuse" not in text
+
+
+def _env_with_blas_threads(threads: int) -> dict:
+    """This environment, with fedmatch importable and OpenBLAS at `threads`."""
+    src = Path(federation.__file__).resolve().parents[1]
+    return {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+            "PYTHONPATH": os.pathsep.join(filter(None, [str(src),
+                                                        os.environ.get("PYTHONPATH")]))}
+
+
+def _skip_unless_blas_is_settable():
+    """The OpenBLAS thread-count setter; skips the test without one."""
+    get, put = federation._blas_thread_calls()
+    if get is None or put is None:
+        pytest.skip("no OpenBLAS thread-count getter and setter in this process")
+    return put
+
+
+def _rounds_bytes(out: Path, parallel: int) -> bytes:
+    with MetricsSink(out) as sink:
+        run_experiment(make_cfg({"parallel_clients": parallel, "use_matching": True}),
+                       sink=sink)
+    return (out / "rounds.jsonl").read_bytes()
+
+
+def _pair_clients(monkeypatch):
+    """Make each client wait for a partner, so a pool must run two at once.
+
+    Returns the set of threads that trained and [running now, most at once].
+    """
+    threads = set()
+    lock = threading.Lock()
+    running = [0, 0]
+    pair = threading.Barrier(2, timeout=30)
+    real_train = federation.train_client
+
+    def paired(*args):
+        with lock:
+            threads.add(threading.get_ident())
+            running[0] += 1
+            running[1] = max(running)
+        try:
+            pair.wait()
+            return real_train(*args)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(federation, "train_client", paired)
+    return threads, running
 
 
 class TestRounds:

@@ -374,6 +374,22 @@ def test_cifar_decoder_stage1_backward_memory_is_bounded():
     assert peak < 64 << 20, f"peak {peak / 2**20:.0f} MiB"
 
 
+def test_kws_decoder_stage1_forward_memory_is_bounded():
+    # Its tap-sum form sized the batch step by the 9 taps a sample gets
+    # and padded 100 samples at once: a 19 MB buffer (21 MiB peak).  The
+    # step counts the 64-channel padded sample as well: 14 samples, 8 MiB.
+    c, o, k, p, hw = DECODER_TCONVS["kws-s1"]
+    rng = np.random.default_rng(0)
+    x, w = rng.normal(size=(32, c, hw, hw)), rng.normal(size=(c, o, k, k))
+    tracemalloc.start()
+    try:
+        nn.transposed_conv2d_forward(x, w, None, padding=p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < nn.SLICE_BYTES + (4 << 20), f"peak {peak / 2**20:.1f} MiB"
+
+
 class _MallInfo2(ctypes.Structure):
     _fields_ = [(name, ctypes.c_size_t) for name in (
         "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
