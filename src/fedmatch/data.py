@@ -136,9 +136,14 @@ def _read_cifar_batch(path: Path) -> tuple[np.ndarray, np.ndarray]:
 def load_cifar10(data_dir: str | Path) -> tuple[Dataset, Dataset]:
     """Load CIFAR-10 binary batches (50k train across five files, 10k test)."""
     d = Path(data_dir)
-    xs, ys = zip(*(_read_cifar_batch(d / fname) for fname in CIFAR_TRAIN_FILES))
+    xs, ys = [], []
+    for fname in CIFAR_TRAIN_FILES:
+        x, y = _read_cifar_batch(d / fname)
+        xs.append(x)
+        ys.append(y)
     train = Dataset(np.concatenate(xs), np.concatenate(ys))
-    test = Dataset(*_read_cifar_batch(d / CIFAR_TEST_FILE))
+    xt, yt = _read_cifar_batch(d / CIFAR_TEST_FILE)
+    test = Dataset(xt, yt)
     if train.n != 50000 or test.n != 10000:
         raise DataFormatError(
             f"unexpected CIFAR-10 sizes: train {train.n}, test {test.n}")

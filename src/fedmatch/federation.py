@@ -9,7 +9,7 @@ Clients can run serially or on a thread pool; results reduce in client-id
 order either way, so both paths are bitwise identical.  The pool is never
 wider than the cores that each client's BLAS threads leave free.  A model
 without conv layers trains and evaluates on one BLAS thread, so its
-clients fill the cores (`_model_blas_threads`).  Every
+clients fill the cores (`_model_blas_count`).  Every
 random draw comes from a named substream of the experiment seed (see
 `seeding`), which pins the whole run, including the bytes of its metrics
 files.
@@ -229,7 +229,7 @@ EVAL_BATCH = 512
 def _batched_logits(graph: ModelGraph, params: ParamSet, x: np.ndarray,
                     y: np.ndarray):
     """(logits, labels) of consecutive batches of at most `EVAL_BATCH`, on
-    the BLAS threads of `_model_blas_threads`."""
+    the BLAS threads of `_model_blas_count`."""
     with _model_blas_threads(graph):
         for lo in range(0, x.shape[0], EVAL_BATCH):
             hi = lo + EVAL_BATCH
@@ -294,28 +294,43 @@ def _blas_threads() -> int | None:
     return None if get is None else int(get())
 
 
+def _model_blas_count(graph: ModelGraph) -> int | None:
+    """Threads `graph`'s GEMMs run on inside `_model_blas_threads`: 1 for a
+    model without conv layers when this thread can set the count, else the
+    library's count (None if unknown).
+
+    One BLAS thread makes a dense-only model's bytes independent of the
+    library's count, and lets its clients fill the cores (`_pool_width`):
+    mnist_mlp (and so its decoder) on 2 cores trains two clients at once.
+    A serial run (`parallel_clients` 1) then leaves the other cores idle,
+    and its rounds are slower than on the library's count; serial and
+    pooled runs must use one count to write the same bytes.  Conv GEMMs
+    gain about 30% from 2 threads, so a conv model keeps the library's
+    count.  The count is global to the process, so only the main thread
+    sets it: driven from another thread, a run keeps the library's count,
+    and its dense-only bytes again depend on it.
+    """
+    dense_only = not any(spec.kind.endswith("conv2d") for spec in graph.layers)
+    main = threading.current_thread() is threading.main_thread()
+    settable = main and None not in _blas_thread_calls()
+    return 1 if dense_only and settable else _blas_threads()
+
+
 @contextlib.contextmanager
 def _model_blas_threads(graph: ModelGraph):
-    """Run the block's GEMMs on one BLAS thread if `graph` has no conv layer;
-    yields the count they run on (None if unknown).
-
-    A dense-only model (mnist_mlp, and so its decoder) has GEMMs too small
-    to gain from BLAS threads, and at 1 thread their bytes no longer
-    depend on the library's count, so its clients fill the cores instead
-    (`_pool_width`).  Conv GEMMs gain about 30% from 2 threads; a conv
-    model keeps the library's count.  The count is global, so only the
-    main thread sets it, never while a client trains, and the old count
-    comes back even when the block raises.  A BLAS whose count cannot be
-    read or set is left as it is.
+    """Run the block's GEMMs on `_model_blas_count(graph)` threads and yield
+    that count.  The count is set only when it differs from the library's,
+    never while a client trains, and the old one comes back even when the
+    block raises.
     """
-    before, put = _blas_threads(), _blas_thread_calls()[1]
-    if (before is None or put is None or threading.current_thread() is not threading.main_thread()
-            or any(spec.kind.endswith("conv2d") for spec in graph.layers)):
-        yield before
+    before, count = _blas_threads(), _model_blas_count(graph)
+    if count == before:
+        yield count
         return
-    put(1)
+    put = _blas_thread_calls()[1]
+    put(count)
     try:
-        yield 1
+        yield count
     finally:
         put(before)
 
@@ -528,8 +543,7 @@ def run_experiment(cfg: ExperimentConfig, sink=None,
     """
     server, clients, arch, decoder, test = setup_experiment(cfg)
     if progress is not None:
-        with _model_blas_threads(arch.graph) as blas:  # the count the rounds run on
-            cores = _cores()
+        blas, cores = _model_blas_count(arch.graph), _cores()
         progress(f"client pool: {_pool_width(cfg.parallel_clients, blas, cores)} "
                  f"thread(s) (parallel_clients {cfg.parallel_clients}, BLAS threads "
                  f"{'unknown' if blas is None else blas}, cores {cores}); "

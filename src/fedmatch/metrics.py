@@ -72,7 +72,13 @@ def write_summary(run_dir: str | Path, summary: dict) -> None:
 
 
 def read_jsonl(path: str | Path) -> list[dict]:
-    return [json.loads(line) for line in Path(path).read_text().splitlines() if line.strip()]
+    out = []
+    with open(path) as f:
+        for line in f:
+            line = line.strip()
+            if line:
+                out.append(json.loads(line))
+    return out
 
 
 def read_run(run_dir: str | Path) -> dict:
@@ -81,13 +87,15 @@ def read_run(run_dir: str | Path) -> dict:
     if not (d / "rounds.jsonl").exists():
         raise FileNotFoundError(f"{d} does not look like a run directory "
                                 f"(no rounds.jsonl)")
-    return {
+    out = {
         "config": json.loads((d / "config.json").read_text()),
         "rounds": read_jsonl(d / "rounds.jsonl"),
         "evals": read_jsonl(d / "evals.jsonl") if (d / "evals.jsonl").exists() else [],
-        "summary": (json.loads((d / "summary.json").read_text())
-                    if (d / "summary.json").exists() else None),
+        "summary": None,
     }
+    if (d / "summary.json").exists():
+        out["summary"] = json.loads((d / "summary.json").read_text())
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +159,13 @@ def build_table(run_dirs: list[str | Path]) -> list[dict]:
         mean = sum(accs) / len(accs)
         std = statistics.stdev(accs) if len(accs) > 1 else 0.0
         cfg = g["config"]
-        variant = [name for name, key in (("tuned", "use_tuner"), ("matching", "use_matching"),
-                                          ("wd", "use_wd")) if cfg.get(key)]
+        variant = []
+        if cfg.get("use_tuner"):
+            variant.append("tuned")
+        if cfg.get("use_matching"):
+            variant.append("matching")
+        if cfg.get("use_wd"):
+            variant.append("wd")
         rows.append({
             "task": cfg.get("task"),
             "partition": cfg.get("partition"),

@@ -216,39 +216,26 @@ def output_shape(spec: LayerSpec, in_shape: tuple[int, ...]) -> tuple[int, ...]:
         if int(np.prod(in_shape)) != int(np.prod(spec.shape)):
             raise ShapeError(f"unflatten cannot reshape {in_shape} to {spec.shape}")
         return spec.shape
-    if spec.kind == "maxpool2x2":
+    if spec.kind in ("maxpool2x2", "unpool2x2"):
         if len(in_shape) != 3:
-            raise ShapeError(f"maxpool2x2 expects (C, H, W), got {in_shape}")
+            raise ShapeError(f"{spec.kind} expects (C, H, W), got {in_shape}")
         c, h, w = in_shape
+        if spec.kind == "unpool2x2":
+            return (c, 2 * h, 2 * w)
         if h % 2 or w % 2:
             raise ShapeError(f"maxpool2x2 needs even spatial dims, got {in_shape}")
         return (c, h // 2, w // 2)
-    if spec.kind == "unpool2x2":
-        if len(in_shape) != 3:
-            raise ShapeError(f"unpool2x2 expects (C, H, W), got {in_shape}")
-        c, h, w = in_shape
-        return (c, 2 * h, 2 * w)
+    # conv2d or transposed_conv2d, the kinds left
+    if len(in_shape) != 3 or in_shape[0] != spec.in_channels:
+        raise ShapeError(f"{spec.kind} expects ({spec.in_channels}, H, W), got {in_shape}")
+    # A conv shrinks each spatial dim by K-1-2p; a transposed conv grows it as much.
+    grow = spec.kernel - 1 - 2 * spec.padding
     if spec.kind == "conv2d":
-        if len(in_shape) != 3 or in_shape[0] != spec.in_channels:
-            raise ShapeError(
-                f"conv2d expects ({spec.in_channels}, H, W), got {in_shape}")
-        _, h, w = in_shape
-        oh = h + 2 * spec.padding - spec.kernel + 1
-        ow = w + 2 * spec.padding - spec.kernel + 1
-        if oh <= 0 or ow <= 0:
-            raise ShapeError(f"conv2d kernel does not fit input {in_shape}")
-        return (spec.out_channels, oh, ow)
-    if spec.kind == "transposed_conv2d":
-        if len(in_shape) != 3 or in_shape[0] != spec.in_channels:
-            raise ShapeError(
-                f"transposed_conv2d expects ({spec.in_channels}, H, W), got {in_shape}")
-        _, h, w = in_shape
-        oh = h + spec.kernel - 1 - 2 * spec.padding
-        ow = w + spec.kernel - 1 - 2 * spec.padding
-        if oh <= 0 or ow <= 0:
-            raise ShapeError(f"transposed_conv2d output collapses for {in_shape}")
-        return (spec.out_channels, oh, ow)
-    raise GraphError(f"unknown layer kind {spec.kind!r}")
+        grow = -grow
+    _, h, w = in_shape
+    if h + grow <= 0 or w + grow <= 0:
+        raise ShapeError(f"{spec.kind} leaves no output for input {in_shape}")
+    return (spec.out_channels, h + grow, w + grow)
 
 
 # ---------------------------------------------------------------------------

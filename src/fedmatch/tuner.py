@@ -107,10 +107,6 @@ class HyperGrid:
             raise GridError(f"duplicate axis names: {names}")
 
     @property
-    def ndim(self) -> int:
-        return len(self.axes)
-
-    @property
     def shape(self) -> tuple[int, ...]:
         return tuple(len(a.values) for a in self.axes)
 
@@ -130,8 +126,12 @@ class HyperGrid:
         return _read_only(np.stack([m.reshape(-1) for m in mesh], axis=1))
 
     def raw_values(self, flat_index: int) -> dict[str, float | int]:
-        return {a.name: (int if a.integer else float)(a.values[int(i)])
-                for a, i in zip(self.axes, np.unravel_index(flat_index, self.shape))}
+        idx = np.unravel_index(flat_index, self.shape)
+        out: dict[str, float | int] = {}
+        for a, i in zip(self.axes, idx):
+            v = a.values[int(i)]
+            out[a.name] = int(v) if a.integer else float(v)
+        return out
 
 
 def default_grid(task: str = "mnist") -> HyperGrid:
@@ -164,7 +164,7 @@ class HyperDist:
 
 def initial_dist(grid: HyperGrid, std: float = 0.2) -> HyperDist:
     """Centered distribution with per-axis std `std` in normalized coords."""
-    d = grid.ndim
+    d = len(grid.axes)
     return HyperDist(mu=np.zeros(d),
                      log_precision=np.full(d, -2.0 * np.log(std)))
 

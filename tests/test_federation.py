@@ -408,28 +408,42 @@ class TestClientPool:
             put(before)
 
     def test_only_a_dense_only_model_sets_the_blas_count(self, monkeypatch, tmp_path):
-        _skip_unless_blas_is_settable()
-        get, put = federation._blas_thread_calls()
-        calls = []
-
-        def spy(n):
-            calls.append(n)
-            put(n)
-
-        monkeypatch.setattr(federation, "_blas_thread_calls", lambda: (get, spy))
+        put = _skip_unless_blas_is_settable()
+        before = _blas_threads()
+        calls = _spy_on_the_blas_setter(monkeypatch)
         rng = np.random.default_rng(0)
         y = np.arange(24) % 4
         for split in ("train", "test"):
             write_features(tmp_path / f"kws_{split}.fedf",
                            Dataset(rng.random((24, 1, 32, 32)), y))
-        run_experiment(make_cfg({"task": "kws", "data_dir": str(tmp_path), "n_clients": 2,
-                                 "validation_size": 4, "rounds": 1, "batch_size": 4,
-                                 "parallel_clients": 2,
-                                 "schedule": {"initial_lr": 0.05, "iterations": 1}}))
+        try:
+            if before == 1:  # make the pin to 1 visible
+                put(2)
+            outer = _blas_threads()
+            run_experiment(make_cfg({"task": "kws", "data_dir": str(tmp_path),
+                                     "n_clients": 2, "validation_size": 4, "rounds": 1,
+                                     "batch_size": 4, "parallel_clients": 2,
+                                     "schedule": {"initial_lr": 0.05, "iterations": 1}}))
+            assert calls == []
+            run_experiment(make_cfg({"rounds": 1, "parallel_clients": 2}))
+            assert calls and calls == [1, outer] * (len(calls) // 2)
+        finally:
+            put(before)
+
+    def test_a_run_off_the_main_thread_keeps_the_blas_count(self, monkeypatch):
+        # Only the main thread sets the process-wide count; elsewhere the
+        # rounds run on the library's count, and the progress line says so.
+        _skip_unless_blas_is_settable()
+        calls = _spy_on_the_blas_setter(monkeypatch)
+        lines = []
+        worker = threading.Thread(target=run_experiment, args=(make_cfg({"rounds": 1}),),
+                                  kwargs={"progress": lines.append})
+        worker.start()
+        worker.join()
         assert calls == []
-        outer = get()
-        run_experiment(make_cfg({"rounds": 1, "parallel_clients": 2}))
-        assert calls and calls == [1, outer] * (len(calls) // 2)
+        assert f"BLAS threads {_blas_threads()}," in lines[0]
+        blas = federation._model_blas_count(build_arch("mnist_mlp").graph)
+        assert blas == 1 and calls == []  # on the main thread, reading sets nothing
 
     def test_run_names_the_pool_on_stderr_only(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -467,6 +481,19 @@ def _skip_unless_blas_is_settable():
     if get is None or put is None:
         pytest.skip("no OpenBLAS thread-count getter and setter in this process")
     return put
+
+
+def _spy_on_the_blas_setter(monkeypatch) -> list[int]:
+    """Record every count the program sets; the setter still sets it."""
+    get, put = federation._blas_thread_calls()
+    calls = []
+
+    def spy(n):
+        calls.append(n)
+        put(n)
+
+    monkeypatch.setattr(federation, "_blas_thread_calls", lambda: (get, spy))
+    return calls
 
 
 def _rounds_bytes(out: Path, parallel: int) -> bytes:
