@@ -251,18 +251,12 @@ def partition_iid(n_samples: int, n_clients: int,
                   rng: np.random.Generator) -> tuple[np.ndarray, ...]:
     """Client shards of a random equal split, one index array per client.
 
-    The remainder spreads one extra sample round-robin.  Callers pass
-    1 <= n_clients <= n_samples.
+    The sorted sections of `np.array_split` over one permutation: the
+    first n_samples % n_clients shards hold one extra sample.  Callers
+    pass 1 <= n_clients <= n_samples.
     """
     perm = rng.permutation(n_samples)
-    base, extra = divmod(n_samples, n_clients)
-    shards = []
-    pos = 0
-    for k in range(n_clients):
-        size = base + (1 if k < extra else 0)
-        shards.append(np.sort(perm[pos:pos + size]))
-        pos += size
-    return tuple(shards)
+    return tuple(np.sort(s) for s in np.array_split(perm, n_clients))
 
 
 def partition_by_class(labels: np.ndarray, n_clients: int) -> tuple[np.ndarray, ...]:

@@ -148,29 +148,29 @@ def select_clients(n_clients: int, fraction: float,
 
 def _batch_indices(n: int, batch_size: int, iterations: int,
                    rng: np.random.Generator):
-    """Yield `iterations` batches of sample indices.
+    """Yield `iterations` index arrays, one per batch.
 
     Shuffled epochs are chained: a permutation's leftover tail joins the
     head of the next permutation, so every batch has exactly `batch_size`
-    samples.  A shard smaller than one batch is used whole every step
-    (flagged by the second yield element).
+    samples.  A shard smaller than one batch is used whole every step;
+    `train_client` flags that case from the shard size.
     """
     if n < batch_size:
         whole = np.arange(n)
         for _ in range(iterations):
-            yield whole, True
+            yield whole
         return
     perm = rng.permutation(n)
     pos = 0
     for _ in range(iterations):
         if pos + batch_size <= n:
-            yield perm[pos:pos + batch_size], False
+            yield perm[pos:pos + batch_size]
             pos += batch_size
         else:
             tail = perm[pos:]
             perm = rng.permutation(n)
             pos = batch_size - tail.size
-            yield np.concatenate([tail, perm[:pos]]), False
+            yield np.concatenate([tail, perm[:pos]])
 
 
 def train_client(client: ClientState, w_round: ParamSet, graph: ModelGraph,
@@ -179,17 +179,15 @@ def train_client(client: ClientState, w_round: ParamSet, graph: ModelGraph,
     """Run `iterations` (at least 1) steps of local SGD from the broadcast params.
 
     The objective follows `cfg.loss` and `cfg.use_wd`, with matching on
-    exactly when `decoder` is given; batches have `cfg.batch_size` samples.
-    Model and decoder parameters step together at rate `lr`.  The
-    returned breakdown is from the last iteration (the loss the client
-    ended on).
+    exactly when `decoder` is given; batches have `cfg.batch_size` samples,
+    or a shard smaller than that is used whole on every step and the
+    result's `short_batch` says so.  Model and decoder parameters step
+    together at rate `lr`.  The returned breakdown is from the last
+    iteration (the loss the client ended on).
     """
     w = w_round
     theta = client.theta
-    short = False
-    for idx, is_short in _batch_indices(client.n_samples, cfg.batch_size,
-                                        iterations, rng):
-        short = short or is_short
+    for idx in _batch_indices(client.n_samples, cfg.batch_size, iterations, rng):
         xb = client.x[idx]
         yb = client.y[idx]
         breakdown, w_grads, theta_grads = total_loss_and_grads(
@@ -198,7 +196,8 @@ def train_client(client: ClientState, w_round: ParamSet, graph: ModelGraph,
         if theta_grads is not None:
             theta = nn.sgd_step(theta, theta_grads, lr)
     return ClientResult(client_id=client.client_id, n_samples=client.n_samples,
-                        params=w, theta=theta, losses=breakdown, short_batch=short)
+                        params=w, theta=theta, losses=breakdown,
+                        short_batch=client.n_samples < cfg.batch_size)
 
 
 def aggregate(w_round: ParamSet, results: list[ClientResult],

@@ -10,6 +10,9 @@ A run directory contains:
 Records are append-only and flushed per write.  Nothing time- or
 host-dependent goes into these files: rerunning a config with the same
 seed must reproduce them byte for byte.
+
+Each reader opens only the files it uses: `export_trajectory` reads
+rounds.jsonl, and `build_table` reads config.json and summary.json.
 """
 
 from __future__ import annotations
@@ -81,23 +84,6 @@ def read_jsonl(path: str | Path) -> list[dict]:
     return out
 
 
-def read_run(run_dir: str | Path) -> dict:
-    """Load a run directory's config, rounds, evals and summary."""
-    d = Path(run_dir)
-    if not (d / "rounds.jsonl").exists():
-        raise FileNotFoundError(f"{d} does not look like a run directory "
-                                f"(no rounds.jsonl)")
-    out = {
-        "config": json.loads((d / "config.json").read_text()),
-        "rounds": read_jsonl(d / "rounds.jsonl"),
-        "evals": read_jsonl(d / "evals.jsonl") if (d / "evals.jsonl").exists() else [],
-        "summary": None,
-    }
-    if (d / "summary.json").exists():
-        out["summary"] = json.loads((d / "summary.json").read_text())
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Trajectory export
 
@@ -113,7 +99,7 @@ def export_trajectory(run_dir: str | Path, out_path: str | Path | None = None) -
     empty), so plots can overlay both kinds of run.
     """
     d = Path(run_dir)
-    rounds = read_run(d)["rounds"]
+    rounds = read_jsonl(d / "rounds.jsonl")
     path = Path(out_path) if out_path is not None else d / "trajectory.csv"
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
@@ -145,14 +131,16 @@ def build_table(run_dirs: list[str | Path]) -> list[dict]:
         raise ValueError("no run directories given")
     groups: dict[str, dict] = {}
     for rd in run_dirs:
-        run = read_run(rd)
-        if run["summary"] is None:
+        d = Path(rd)
+        if not (d / "summary.json").exists():
             raise FileNotFoundError(f"{rd} has no summary.json (run incomplete?)")
-        stripped = strip_identity(run["config"])
+        config = json.loads((d / "config.json").read_text())
+        summary = json.loads((d / "summary.json").read_text())
+        stripped = strip_identity(config)
         key = json.dumps(stripped, sort_keys=True)
         g = groups.setdefault(key, {"config": stripped, "accuracies": [], "seeds": []})
-        g["accuracies"].append(run["summary"]["final_test_accuracy"])
-        g["seeds"].append(run["config"].get("seed"))
+        g["accuracies"].append(summary["final_test_accuracy"])
+        g["seeds"].append(config.get("seed"))
     rows = []
     for g in groups.values():
         accs = g["accuracies"]

@@ -490,14 +490,15 @@ def _tconv_as_conv(w: np.ndarray) -> np.ndarray:
 
 
 def _conv2d_grads(x: np.ndarray, g: np.ndarray, k: int, padding: int,
-                  w: np.ndarray | None = None, transposed: bool = False):
+                  w_dx: np.ndarray | None = None):
     """(dw, db, dx) of the stride-1 conv of x (B, C, H, W) with (O, C, K, K)
     kernels at `padding` p, given its output gradient g (B, O, OH, OW).
 
-    dx is the transposed conv of g at padding p, with the layer's kernels
-    `w`: a conv's, or with `transposed` those of the transposed conv this
-    conv stands for, which already are its dx conv's.  Without `w` (a
-    first layer needs no input gradient) dx is None.  db sums g over batch
+    dx is the transposed conv of g at padding p: the conv of g at padding
+    K-1-p with the (C, O, K, K) kernels `w_dx`, which the caller passes:
+    `conv2d_backward` transforms the layer's kernels, and `_tconv_grads`
+    passes the transposed conv's own kernels unchanged.  Without `w_dx`
+    (a first layer needs no input gradient) dx is None.  db sums g over batch
     and space, in NCHW order: g is channel-last in memory, numpy sums in
     memory order, and summed as it lies db moved by up to 5e-12.
 
@@ -515,8 +516,7 @@ def _conv2d_grads(x: np.ndarray, g: np.ndarray, k: int, padding: int,
       is 20 MB where x's was 210 MB.
 
     Where the large blocks fall in the heap sets kws_wd's peak RSS.  dw is
-    done, and the padded x freed, before dx's kernel is built: a block
-    allocated ahead of the patch matrix raised it by about 13 MB.  db's
+    done, and the padded x freed, before dx's GEMM runs.  db's
     NCHW copy of g is made and freed before the patch matrix: made after
     dw, it raised it by 14 to 20 MB.
     """
@@ -535,19 +535,18 @@ def _conv2d_grads(x: np.ndarray, g: np.ndarray, k: int, padding: int,
         gp = _windows(gh, k).reshape(-1, k * k * o)
         dw = (gp.T @ x.transpose(0, 2, 3, 1).reshape(-1, c)).reshape(k, k, o, c)
         dw = np.ascontiguousarray(dw[::-1, ::-1].transpose(2, 3, 0, 1))
-    if w is None:
+    if w_dx is None:
         return dw, db, None
-    wt = w if transposed else _tconv_as_conv(w)
     if c <= o:
-        return dw, db, conv2d_forward(g, wt, None, padding=k - 1 - padding)
-    return dw, db, _correlate_nhwc(g, wt, k - 1 - padding, gp).transpose(0, 3, 1, 2)
+        return dw, db, conv2d_forward(g, w_dx, None, padding=k - 1 - padding)
+    return dw, db, _correlate_nhwc(g, w_dx, k - 1 - padding, gp).transpose(0, 3, 1, 2)
 
 
 def _tconv_grads(x: np.ndarray, g: np.ndarray, k: int, padding: int,
                  w: np.ndarray | None = None):
     """(dw, db, dx) of transposed_conv2d: those of its equivalent conv,
     with the kernel transform (an involution) mapping dw back."""
-    dwc, db, dx = _conv2d_grads(x, g, k, k - 1 - padding, w, transposed=True)
+    dwc, db, dx = _conv2d_grads(x, g, k, k - 1 - padding, w)
     return _tconv_as_conv(dwc), db, dx
 
 
@@ -558,7 +557,7 @@ def conv2d_backward(x: np.ndarray, w: np.ndarray, g: np.ndarray, padding: int = 
     those of g (`_conv2d_grads`); dx is the transposed conv of g with the
     same kernel and padding.
     """
-    return _conv2d_grads(x, g, w.shape[2], padding, w)
+    return _conv2d_grads(x, g, w.shape[2], padding, _tconv_as_conv(w))
 
 
 def transposed_conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,

@@ -261,3 +261,19 @@ class TestPartitions:
         b = partition_iid(100, 7, np.random.default_rng(42))
         for ia, ib in zip(a, b):
             assert np.array_equal(ia, ib)
+        # The shards are a fixed function of the seed, the rule they were
+        # first cut by: one permutation, sections of n // k with the first
+        # n % k one sample longer, each sorted.
+        for n, k, seed in ((1, 1, 0), (10, 1, 1), (10, 10, 2), (12, 4, 3), (100, 7, 42),
+                           (101, 10, 4), (37, 36, 5)):
+            perm = np.random.default_rng(seed).permutation(n)
+            base, extra = divmod(n, k)
+            want, pos = [], 0
+            for c in range(k):
+                size = base + (1 if c < extra else 0)
+                want.append(np.sort(perm[pos:pos + size]))
+                pos += size
+            got = partition_iid(n, k, np.random.default_rng(seed))
+            assert len(got) == k
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)

@@ -93,24 +93,22 @@ class TestBatchIndices:
     def test_every_batch_full_when_shard_is_larger(self):
         batches = list(_batch_indices(10, 4, 6, np.random.default_rng(0)))
         assert len(batches) == 6
-        for idx, short in batches:
+        for idx in batches:
             assert idx.size == 4
-            assert not short
 
     def test_epochs_chain_without_repeats_inside_an_epoch(self):
         batches = list(_batch_indices(10, 5, 6, np.random.default_rng(1)))
-        flat = np.concatenate([idx for idx, _ in batches])
+        flat = np.concatenate(batches)
         # 30 draws over shard size 10: each consecutive block of 10 is a
         # permutation, so every sample appears exactly 3 times overall
         assert flat.size == 30
         for lo in range(0, 30, 10):
             assert np.array_equal(np.sort(flat[lo:lo + 10]), np.arange(10))
 
-    def test_small_shard_used_whole_and_flagged(self):
+    def test_small_shard_used_whole(self):
         batches = list(_batch_indices(3, 16, 4, np.random.default_rng(0)))
         assert len(batches) == 4
-        for idx, short in batches:
-            assert short
+        for idx in batches:
             assert np.array_equal(np.sort(idx), np.arange(3))
 
     def test_zero_iterations_yields_nothing(self):
@@ -139,12 +137,16 @@ class TestTrainClient:
         assert after < before
 
     def test_short_batch_flagged(self):
+        # batch 16: a shard below one batch is used whole on every step; a
+        # shard of one batch or more never is, over one step or several epochs
         graph = tiny_graph()
         w = nn.init_params(graph, np.random.default_rng(1))
-        res = train_client(self._client(n=5), w, graph, None,
-                           0.1, 2,
-                           self._cfg(use_er=False), np.random.default_rng(2))
-        assert res.short_batch
+        for n, iterations, short in ((5, 2, True), (3, 4, True), (16, 1, False),
+                                     (40, 6, False)):
+            res = train_client(self._client(n=n), w, graph, None,
+                               0.1, iterations,
+                               self._cfg(use_er=False), np.random.default_rng(2))
+            assert res.short_batch is short
 
     def test_decoder_params_move_with_matching_on(self):
         arch = build_arch("mnist_mlp")

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import shutil
 
 import pytest
 
@@ -15,7 +16,7 @@ from fedmatch.metrics import (
     build_table,
     export_trajectory,
     format_table,
-    read_run,
+    read_jsonl,
     round_to_dict,
     write_summary,
 )
@@ -62,10 +63,11 @@ class TestRecords:
 
     def test_sink_writes_one_line_per_record(self, tmp_path):
         result = run_to_dir(tmp_path)
-        run = read_run(tmp_path)
-        assert len(run["rounds"]) == len(result.records) == 3
-        assert len(run["evals"]) == len(result.evals) == 2
-        assert [e["round"] for e in run["evals"]] == [0, 2]
+        rounds = read_jsonl(tmp_path / "rounds.jsonl")
+        evals = read_jsonl(tmp_path / "evals.jsonl")
+        assert len(rounds) == len(result.records) == 3
+        assert len(evals) == len(result.evals) == 2
+        assert [e["round"] for e in evals] == [0, 2]
 
     def test_rerun_bytes_identical(self, tmp_path):
         run_to_dir(tmp_path / "a")
@@ -74,9 +76,11 @@ class TestRecords:
             assert (tmp_path / "a" / name).read_bytes() \
                 == (tmp_path / "b" / name).read_bytes()
 
-    def test_read_run_requires_rounds_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            read_run(tmp_path)
+    def test_readers_name_the_file_a_run_directory_lacks(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="rounds.jsonl"):
+            export_trajectory(tmp_path)
+        with pytest.raises(FileNotFoundError, match="summary.json"):
+            build_table([tmp_path])
 
 
 class TestTrajectory:
@@ -138,6 +142,17 @@ class TestTable:
         run_to_dir(tmp_path / "incomplete")
         with pytest.raises(FileNotFoundError, match="summary"):
             build_table([tmp_path / "incomplete"])
+
+    def test_table_reads_no_records(self, tmp_path):
+        intact = [tmp_path / "intact" / "s1", tmp_path / "intact" / "s2"]
+        self._full_run(intact[0], 1)
+        self._full_run(intact[1], 2)
+        shutil.copytree(tmp_path / "intact", tmp_path / "bare")
+        bare = [tmp_path / "bare" / "s1", tmp_path / "bare" / "s2"]
+        for run_dir in bare:
+            (run_dir / "rounds.jsonl").unlink()
+            (run_dir / "evals.jsonl").unlink()
+        assert build_table(bare) == build_table(intact)
 
     def test_format_table_prints_every_row(self, tmp_path):
         self._full_run(tmp_path / "s1", 1)
