@@ -104,7 +104,9 @@ class ExperimentConfig:
 # Parsing: the dataclasses above are the schema
 
 
-IDENTITY_KEYS = ("seed", "output_dir", "data_dir")
+# Keys that name a run, or set how it runs without changing its bytes
+# (`parallel_clients` only sets the client pool's width).
+IDENTITY_KEYS = ("seed", "output_dir", "data_dir", "parallel_clients")
 
 
 def strip_identity(d: dict) -> dict:
@@ -257,10 +259,11 @@ def to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    """Hash of everything that defines the experiment except seed and paths.
+    """Hash of everything that defines the experiment except seed, paths
+    and `parallel_clients`.
 
-    Runs that differ only in seed (or where their outputs land) share a
-    hash, which is how result tables group repeats.
+    Runs that differ only in seed, where their outputs land or how many
+    clients train at once share a hash.
     """
     blob = json.dumps(strip_identity(to_dict(cfg)), sort_keys=True,
                       separators=(",", ":"))

@@ -5,11 +5,12 @@ the fixed schedule), select clients, run local SGD on each selected client
 from the broadcast parameters, aggregate the deltas, evaluate the
 validation loss, score the reward, and update the tuning distribution.
 
-Clients can run serially or on a thread pool; results reduce in client-id
-order either way, so both paths are bitwise identical.  The pool is never
-wider than the cores that each client's BLAS threads leave free.  A model
-without conv layers trains and evaluates on one BLAS thread, so its
-clients fill the cores (`_model_blas_count`).  Every
+Clients train on a thread pool, and a serial run (`parallel_clients` 1)
+is a pool one thread wide, so serial and threaded rounds run the same
+code; results reduce in client-id order, so both write the same bytes.
+The pool is never wider than the cores that each client's BLAS threads
+leave free.  A model without conv layers trains and evaluates on one
+BLAS thread, so its clients fill the cores (`_model_blas_count`).  Every
 random draw comes from a named substream of the experiment seed (see
 `seeding`), which pins the whole run, including the bytes of its metrics
 files.
@@ -100,9 +101,8 @@ class ClientResult:
 class RoundRecord:
     """Everything worth keeping about one round.
 
-    `wall_time_sec` is informational only and is deliberately left out of
-    the serialized metrics so reruns of the same seed write identical
-    files.
+    It holds no timing, so reruns of the same seed write identical files;
+    `run_experiment` times each round for its progress line only.
     """
 
     round: int
@@ -116,7 +116,6 @@ class RoundRecord:
     loss_after: float
     reward: float | None
     client_losses: tuple[dict, ...]
-    wall_time_sec: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -150,27 +149,23 @@ def _batch_indices(n: int, batch_size: int, iterations: int,
                    rng: np.random.Generator):
     """Yield `iterations` index arrays, one per batch.
 
-    Shuffled epochs are chained: a permutation's leftover tail joins the
-    head of the next permutation, so every batch has exactly `batch_size`
-    samples.  A shard smaller than one batch is used whole every step;
-    `train_client` flags that case from the shard size.
+    Shuffled epochs are chained into one stream: the
+    ceil(iterations * batch_size / n) permutations the steps need are
+    drawn in order and concatenated, and each batch is the next
+    `batch_size` indices, so a batch can span two epochs.  A shard smaller
+    than one batch is used whole every step; `train_client` flags that
+    case from the shard size.
     """
     if n < batch_size:
         whole = np.arange(n)
         for _ in range(iterations):
             yield whole
         return
-    perm = rng.permutation(n)
-    pos = 0
-    for _ in range(iterations):
-        if pos + batch_size <= n:
-            yield perm[pos:pos + batch_size]
-            pos += batch_size
-        else:
-            tail = perm[pos:]
-            perm = rng.permutation(n)
-            pos = batch_size - tail.size
-            yield np.concatenate([tail, perm[:pos]])
+    epochs = -(-iterations * batch_size // n)
+    stream = np.concatenate([np.empty(0, np.int64),
+                             *(rng.permutation(n) for _ in range(epochs))])
+    for lo in range(0, iterations * batch_size, batch_size):
+        yield stream[lo:lo + batch_size]
 
 
 def train_client(client: ClientState, w_round: ParamSet, graph: ModelGraph,
@@ -357,7 +352,6 @@ def run_round(server: ServerState, clients: list[ClientState],
               cfg: ExperimentConfig) -> RoundRecord:
     """Advance the federation by one synchronous round (in place)."""
     t = server.round + 1
-    start = time.perf_counter()
 
     # 1. hyper-parameters for this round
     if cfg.use_tuner:
@@ -376,7 +370,9 @@ def run_round(server: ServerState, clients: list[ClientState],
     sel_rng = seeding.substream(cfg.seed, seeding.CLIENT_SELECT, t)
     selected = select_clients(cfg.n_clients, cfg.client_fraction, sel_rng)
 
-    # 3. local work (serial or thread pool; same reduction order either way)
+    # 3. local work on the pool, results in `selected` order; a serial
+    # round is a 1-wide pool.  The BLAS count is set here, on the calling
+    # thread, before any client starts.
     def work(cid: int) -> ClientResult:
         crng = seeding.substream(cfg.seed, seeding.CLIENT_TRAIN, t, cid)
         return train_client(clients[cid], server.params, arch.graph, decoder,
@@ -384,11 +380,8 @@ def run_round(server: ServerState, clients: list[ClientState],
 
     with _model_blas_threads(arch.graph) as blas:
         workers = _pool_width(cfg.parallel_clients, blas, _cores())
-        if workers > 1 and len(selected) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(work, selected))
-        else:
-            results = [work(cid) for cid in selected]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(work, selected))
 
     # 4. aggregate and persist decoder params
     new_params = aggregate(server.params, results, server.total_datapoints,
@@ -428,7 +421,6 @@ def run_round(server: ServerState, clients: list[ClientState],
         loss_after=loss_after,
         reward=r_t,
         client_losses=client_losses,
-        wall_time_sec=time.perf_counter() - start,
     )
 
 
@@ -561,14 +553,16 @@ def run_experiment(cfg: ExperimentConfig, sink=None,
 
     run_eval(0)
     for t in range(1, cfg.rounds + 1):
+        start = time.perf_counter()
         rec = run_round(server, clients, arch, decoder, cfg)
+        wall = time.perf_counter() - start
         records.append(rec)
         if sink is not None:
             sink.write_round(rec)
         if progress is not None and (t % 10 == 0 or t == cfg.rounds):
             progress(f"round {t}/{cfg.rounds}: val loss {rec.loss_after:.4f} "
                      f"lr {rec.lr:g} iters {rec.iterations} "
-                     f"({rec.wall_time_sec:.2f}s)")
+                     f"({wall:.2f}s)")
         if t % cfg.eval_every == 0:
             run_eval(t)
 

@@ -30,10 +30,7 @@ SCHEMA_VERSION = 1
 
 
 def round_to_dict(rec: RoundRecord) -> dict:
-    """Serializable view of a round record (wall time deliberately omitted)."""
-    d = asdict(rec)
-    del d["wall_time_sec"]
-    return {"schema_version": SCHEMA_VERSION, **d}
+    return {"schema_version": SCHEMA_VERSION, **asdict(rec)}
 
 
 def eval_to_dict(rec: EvalRecord) -> dict:
@@ -122,7 +119,8 @@ def export_trajectory(run_dir: str | Path, out_path: str | Path | None = None) -
 
 
 def build_table(run_dirs: list[str | Path]) -> list[dict]:
-    """Group runs by config (ignoring seed) and aggregate final accuracy.
+    """Group runs by config (ignoring `config.IDENTITY_KEYS`) and aggregate
+    final accuracy.
 
     Runs share a group exactly when their stripped configs are equal.
     Std is the sample standard deviation (ddof=1); a single run reports 0.

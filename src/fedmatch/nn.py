@@ -515,6 +515,9 @@ def _conv2d_grads(x: np.ndarray, g: np.ndarray, k: int, padding: int,
       one patch matrix; for cifar_cnn's 32 -> 3 decoder stage at B=32 it
       is 20 MB where x's was 210 MB.
 
+    Either way dx is one `_correlate_nhwc` call; only the O < C form hands
+    it prebuilt patches.
+
     Where the large blocks fall in the heap sets kws_wd's peak RSS.  dw is
     done, and the padded x freed, before dx's GEMM runs.  db's
     NCHW copy of g is made and freed before the patch matrix: made after
@@ -537,9 +540,8 @@ def _conv2d_grads(x: np.ndarray, g: np.ndarray, k: int, padding: int,
         dw = np.ascontiguousarray(dw[::-1, ::-1].transpose(2, 3, 0, 1))
     if w_dx is None:
         return dw, db, None
-    if c <= o:
-        return dw, db, conv2d_forward(g, w_dx, None, padding=k - 1 - padding)
-    return dw, db, _correlate_nhwc(g, w_dx, k - 1 - padding, gp).transpose(0, 3, 1, 2)
+    dx = _correlate_nhwc(g, w_dx, k - 1 - padding, None if c <= o else gp)
+    return dw, db, dx.transpose(0, 3, 1, 2)
 
 
 def _tconv_grads(x: np.ndarray, g: np.ndarray, k: int, padding: int,

@@ -9,7 +9,7 @@ TOOL = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
 
 # The package's size after the last change that shrank it; it should only
 # shrink.
-CEILING = 1653
+CEILING = 1640
 
 
 def test_reports_every_module_and_a_total_under_the_ceiling():

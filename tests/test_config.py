@@ -326,7 +326,7 @@ class TestTunerSection:
 class TestHash:
     def test_hash_is_stable_across_seed_and_paths(self):
         a = parse({"seed": 1})
-        b = parse({"seed": 77, "output_dir": "elsewhere"})
+        b = parse({"seed": 77, "output_dir": "elsewhere", "parallel_clients": 3})
         assert config_hash(a) == config_hash(b)
         assert len(config_hash(a)) == 12
         assert all(c in "0123456789abcdef" for c in config_hash(a))
@@ -383,15 +383,15 @@ GOLDEN_CONFIGS = {
 
 # name -> (config_hash, sha256 of the config.json text without its newline)
 GOLDEN_ECHO = {
-    "minimal": ("01b829e1132e",
+    "minimal": ("be610249d8c0",
                 "d70aa5f022c33131e28f968657b480f4c98397e7386f2cf00a09ce4dc8e114de"),
-    "readme_quick_start": ("94f009f1bd9d",
+    "readme_quick_start": ("1862191da8d7",
                            "fbcf58ac212cdca5a04e0f240656214569e5ee4eeb4671f27fee79a6500c9427"),
-    "cifar_matching": ("3b68b869a0e5",
+    "cifar_matching": ("37eb972c2f0f",
                        "0b136aa40f064371845a7837bd467a8c946b04c0af4d4176cec13bd19e75661e"),
-    "kws_wd": ("ca4587aa9bb1",
+    "kws_wd": ("215eb5833481",
                "bc9a7db61b6eb8a8ecda5adc903f19c9c496e0b41070b6da386c69a0ef1bbe3d"),
-    "mnist_tuned": ("f1e2904f3cb7",
+    "mnist_tuned": ("3da0623862ef",
                     "b0663b8890a9e30a175304755ad20da52ce64e03a240aee3f41a74eaa4f43dea"),
 }
 

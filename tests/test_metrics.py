@@ -106,8 +106,8 @@ class TestTrajectory:
 
 
 class TestTable:
-    def _full_run(self, run_dir, seed):
-        cfg = from_dict({**BASE, "seed": seed})
+    def _full_run(self, run_dir, seed, parallel_clients=1):
+        cfg = from_dict({**BASE, "seed": seed, "parallel_clients": parallel_clients})
         from fedmatch.config import config_hash, to_dict
         run_dir.mkdir(parents=True, exist_ok=True)
         (run_dir / "config.json").write_text(json.dumps(to_dict(cfg)))
@@ -121,8 +121,9 @@ class TestTable:
         return result
 
     def test_groups_across_seeds(self, tmp_path):
+        # The pool width changes no byte, so it does not split the group.
         r1 = self._full_run(tmp_path / "s1", 1)
-        r2 = self._full_run(tmp_path / "s2", 2)
+        r2 = self._full_run(tmp_path / "s2", 2, parallel_clients=2)
         rows = build_table([tmp_path / "s1", tmp_path / "s2"])
         assert len(rows) == 1
         row = rows[0]
